@@ -5,11 +5,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, norms
+from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid
 
 __all__ = [
     "StopReason",
@@ -96,39 +96,140 @@ class BlowupReport:
 Sink = Callable[[EvolutionState, float, float], None]
 
 
+class _StrangKernel:
+    """Free-flow phase and damping kick of the Strang step on one grid and damping.
+
+    Every stepping path, `evolve` and the single-step views below, runs this
+    arithmetic. The free flow exp(-i|k|²h) is applied as one 1-D phase per
+    axis, broadcast in place, so no full-grid complex exponential is formed.
+    The last few per-axis phases and the kick coefficients of the last dt are
+    cached; runs at a constant dt reuse them on every step.
+    """
+
+    _PHASE_CACHE = 4
+
+    def __init__(self, grid: Grid, a: Optional[DampingProfile] = None):
+        self.grid = grid
+        self.a = None if a is None else a.values
+        self.sigma = 4.0 / grid.dim
+        self.k2_axis = grid.wavenumbers**2
+        self.axis_shapes = [
+            tuple(-1 if j == i else 1 for j in range(grid.dim)) for i in range(grid.dim)
+        ]
+        # Looked up at construction, not import, so a patched numpy.fft is seen.
+        self.fft = np.fft.fft if grid.dim == 1 else np.fft.fftn
+        self.ifft = np.fft.ifft if grid.dim == 1 else np.fft.ifftn
+        self._phases: dict = {}
+        self._kick_dt: Optional[float] = None
+        self._amp = self._coef = None
+
+    def phase(self, u_hat: np.ndarray, h: float) -> None:
+        """In place: û <- exp(-i|k|² h) û, the free flow over h."""
+        if h == 0.0:
+            return
+        p = self._phases.get(h)
+        if p is None:
+            if len(self._phases) >= self._PHASE_CACHE:
+                self._phases.clear()
+            p = np.exp(-1j * h * self.k2_axis)
+            self._phases[h] = p
+        for shape in self.axis_shapes:
+            u_hat *= p.reshape(shape)
+
+    def _kick_coefficients(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+        # Amplitude e^(-a dt) and phase coefficient dt (1 - e^(-sigma a dt))/(sigma a),
+        # with the series branch guarding |a dt| < 1e-6 (covers a = 0).
+        if dt != self._kick_dt:
+            adt = self.a * dt
+            z = self.sigma * adt
+            small = np.abs(adt) < 1e-6
+            safe = np.where(small, 1.0, z)
+            factor = np.where(small, 1.0 - z / 2.0 + z * z / 6.0, -np.expm1(-safe) / safe)
+            self._amp = np.exp(-adt)
+            self._coef = dt * factor
+            self._kick_dt = dt
+        return self._amp, self._coef
+
+    def kick(self, u: np.ndarray, dt: float, edge_w: Optional[np.ndarray] = None) -> float:
+        """In place: exact pointwise flow of u_t = i|u|^sigma u - a u over dt.
+
+        The amplitude decays as e^(-a dt) while the phase advances by
+        |u|^sigma dt (1 - e^(-sigma a dt))/(sigma a). With `edge_w`, returns
+        Σ edge_w |u|² of the field before the kick; otherwise 0.
+        """
+        amp, coef = self._kick_coefficients(dt)
+        theta = u.real**2 + u.imag**2
+        edge = 0.0 if edge_w is None else float(np.dot(theta.ravel(), edge_w))
+        # |u|^sigma = (|u|²)^(2/d): squared for d = 1, as is for d = 2.
+        if self.grid.dim == 1:
+            np.square(theta, out=theta)
+        elif self.grid.dim == 3:
+            np.power(theta, 0.5 * self.sigma, out=theta)
+        theta *= coef
+        rot = np.empty_like(u)
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        rot *= amp
+        u *= rot
+        return edge
+
+    def advance(
+        self, u_hat: np.ndarray, h: float, dt: float, edge_w: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, float]:
+        """Free flow over h, kick over dt; returns the new û and the kick's edge sum.
+
+        û is consumed. The returned spectrum still owes the closing half
+        phase, which a caller merges into the next step's opening one.
+        """
+        self.phase(u_hat, h)
+        u = self.ifft(u_hat)
+        edge = self.kick(u, dt, edge_w)
+        return self.fft(u), edge
+
+
+def _spectral_norms(
+    u_hat: np.ndarray, grid: Grid, tail_w: Optional[np.ndarray] = None
+) -> Tuple[float, float, float]:
+    """Σ|û|², ‖∇u‖² and the tail fraction, read from û.
+
+    A phase on û drops out, so a spectrum that still owes a half phase gives
+    the norms of the field it stands for.
+    """
+    spec2 = (u_hat.real**2 + u_hat.imag**2).ravel()
+    total = float(spec2.sum())
+    grad_sq = float(np.dot(spec2, grid.k2.ravel())) * grid.cell_volume / grid.size
+    tail = 0.0
+    if tail_w is not None and total > 0.0:
+        tail = float(np.dot(spec2, tail_w)) / total
+    return total, grad_sq, tail
+
+
 def linear_substep(field_: ComplexField, dt: float) -> ComplexField:
     """Free flow over dt: spectrum multiplied by exp(-i|k|² dt). Preserves mass."""
-    g = field_.grid
-    out = np.fft.ifftn(np.exp(-1j * g.k2 * dt) * np.fft.fftn(field_.values))
-    return ComplexField(g, out)
-
-
-def _kick(values: np.ndarray, a: np.ndarray, sigma: float, dt: float) -> np.ndarray:
-    # Exact pointwise solution of u_t = i|u|^sigma u - a u over dt:
-    # amplitude r0 e^(-a dt), phase increment r0^sigma (1 - e^(-sigma a dt))/(sigma a),
-    # with the series branch guarding |a dt| < 1e-6 (covers a = 0).
-    r0_pow = (values.real**2 + values.imag**2) ** (0.5 * sigma)
-    adt = a * dt
-    z = sigma * adt
-    small = np.abs(adt) < 1e-6
-    safe = np.where(small, 1.0, z)
-    factor = np.where(small, 1.0 - z / 2.0 + z * z / 6.0, -np.expm1(-safe) / safe)
-    dtheta = r0_pow * dt * factor
-    return values * np.exp(-adt + 1j * dtheta)
+    kernel = _StrangKernel(field_.grid)
+    u_hat = kernel.fft(field_.values)
+    kernel.phase(u_hat, dt)
+    return ComplexField(field_.grid, kernel.ifft(u_hat))
 
 
 def nonlinear_damping_substep(field_: ComplexField, a: DampingProfile, dt: float) -> ComplexField:
     """Exact pointwise flow of u_t = i|u|^(4/d) u - a(x) u over one step."""
-    g = field_.grid
-    return ComplexField(g, _kick(field_.values, a.values, 4.0 / g.dim, dt))
+    u = field_.values.copy()
+    _StrangKernel(field_.grid, a).kick(u, dt)
+    return ComplexField(field_.grid, u)
 
 
 def strang_step(state: EvolutionState, a: DampingProfile, dt: float) -> EvolutionState:
-    """Second-order composition: half linear, full nonlinear/damping, half linear."""
-    half = linear_substep(state.field, 0.5 * dt)
-    kicked = nonlinear_damping_substep(half, a, dt)
-    full = linear_substep(kicked, 0.5 * dt)
-    return EvolutionState(state.time + dt, full, state.step_count + 1)
+    """Second-order composition: half linear, full nonlinear/damping, half linear.
+
+    The same kernel as `evolve`, with the closing half phase applied at once
+    instead of merged into the next step.
+    """
+    kernel = _StrangKernel(state.field.grid, a)
+    u_hat, _ = kernel.advance(kernel.fft(state.field.values), 0.5 * dt, dt)
+    kernel.phase(u_hat, 0.5 * dt)
+    out = ComplexField(state.field.grid, kernel.ifft(u_hat))
+    return EvolutionState(state.time + dt, out, state.step_count + 1)
 
 
 def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:
@@ -139,7 +240,9 @@ def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:
 
 def choose_dt(state: EvolutionState, cfg: SimConfig) -> float:
     """Adaptive step: dt = max(dt_min, min(dt0, adapt_const/‖∇u‖²))."""
-    return _dt_from_grad(norms(state.field).grad_sq, cfg)
+    field_ = state.field
+    _, grad_sq, _ = _spectral_norms(_StrangKernel(field_.grid).fft(field_.values), field_.grid)
+    return _dt_from_grad(grad_sq, cfg)
 
 
 def _tail_mask(grid: Grid) -> np.ndarray:
@@ -176,6 +279,14 @@ def evolve(
     snapshot (state, dt_used, tail_fraction) at t = 0, every
     cfg.record_every accepted steps, and at the stop.
 
+    The state carried from step to step is the spectrum û, and adjacent
+    half phases are merged, so a step costs one inverse and one forward FFT.
+    Mass, ‖∇u‖² and the tail fraction are read from û; the physical field
+    is formed only for the sink, at one inverse FFT per snapshot. The
+    boundary-mass flag is raised when a step's mid-step field, the one the
+    kick acts on, holds more than BOUNDARY_MASS_LIMIT of its mass in the
+    outer 10% of the box (max_j |x_j| >= 0.9 L); it is checked on every step.
+
     `ref_grad_sq` supplies the reference gradient integral (normally the
     matching ground state's) used for scale_at_detect = ‖∇Q‖/‖∇u(t_detect)‖;
     without it the reference defaults to 1.
@@ -183,14 +294,14 @@ def evolve(
     grid = u0.grid
     if a.grid is not grid and not a.grid.same_layout(grid):
         raise ConfigurationError("damping profile and initial data live on different grids")
-    vol = grid.cell_volume
-    size = grid.size
-    k2 = grid.k2
-    tail_mask = _tail_mask(grid)
-    edge_mask = _boundary_mask(grid)
-    sigma = 4.0 / grid.dim
+    kernel = _StrangKernel(grid, a)
+    tail_w = _tail_mask(grid).ravel().astype(np.float64)
+    edge_w = _boundary_mask(grid).ravel().astype(np.float64)
+    mass_per_total = grid.cell_volume / grid.size
 
-    u = u0.values.copy()
+    u_hat = kernel.fft(u0.values)
+    # Half phase not yet applied to û: u(t) = IFFT(exp(-i|k|² owed) û).
+    owed = 0.0
     t = 0.0
     steps = 0
     last_dt = 0.0
@@ -201,23 +312,23 @@ def evolve(
     blew = False
 
     def emit(tail: float) -> None:
-        nonlocal emitted_step
+        nonlocal emitted_step, owed
         if sink is not None:
-            sink(EvolutionState(t, ComplexField(grid, u.copy()), steps), last_dt, tail)
+            kernel.phase(u_hat, owed)
+            owed = 0.0
+            field_ = ComplexField(grid, kernel.ifft(u_hat))
+            sink(EvolutionState(t, field_, steps), last_dt, tail)
         emitted_step = steps
 
     while True:
-        if not (np.isfinite(u.real).all() and np.isfinite(u.imag).all()):
+        total, grad_sq, tail = _spectral_norms(u_hat, grid, tail_w)
+        # A non-finite value anywhere in u reaches every entry of û.
+        if not math.isfinite(total):
             stop = StopReason.NONFINITE
             grad_sq = math.nan
             mass_sq = math.nan
             break
-        u_hat = np.fft.fftn(u)
-        spec2 = u_hat.real**2 + u_hat.imag**2
-        total = float(spec2.sum())
-        mass_sq = total * vol / size
-        grad_sq = float((k2 * spec2).sum()) * vol / size
-        tail = float(spec2[tail_mask].sum()) / total if total > 0.0 else 0.0
+        mass_sq = total * mass_per_total
         if grad0 is None:
             grad0 = grad_sq
         peak_grad = max(peak_grad, grad_sq)
@@ -236,18 +347,14 @@ def evolve(
             stop = StopReason.HORIZON_REACHED
             break
         dt = min(dt, cfg.t_end - t)
-        half = np.exp(-1j * k2 * (0.5 * dt))
-        u = np.fft.ifftn(u_hat * half)
-        u = _kick(u, a.values, sigma, dt)
-        u = np.fft.ifftn(np.fft.fftn(u) * half)
+        u_hat, edge = kernel.advance(u_hat, owed + 0.5 * dt, dt, None if boundary_flag else edge_w)
+        owed = 0.5 * dt
         t += dt
         steps += 1
         last_dt = dt
-        if not boundary_flag:
-            abs2 = u.real**2 + u.imag**2
-            tot = float(abs2.sum())
-            if tot > 0.0 and float(abs2[edge_mask].sum()) > BOUNDARY_MASS_LIMIT * tot:
-                boundary_flag = True
+        # Parseval: the mid-step field holds total/size of Σ|u|².
+        if edge > BOUNDARY_MASS_LIMIT * total / grid.size:
+            boundary_flag = True
 
     if stop is not StopReason.NONFINITE and steps != emitted_step:
         emit(tail)

@@ -69,6 +69,38 @@ def test_evolve_unknown_key_is_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n = 256", "n = 100"),
+        ("dt0 = 1e-3", "dt0 = 1e-9"),
+        ("id = cli_demo", "id = ../esc"),
+        ("id = cli_demo", "id = a/b"),
+    ],
+)
+def test_evolve_invalid_value_is_exit_2(tmp_path, capsys, old, new):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(EVOLVE_CONFIG.format(out=tmp_path / "out" / "x").replace(old, new))
+    code = main(["evolve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("line", ["n = 100", "dt0 = 1e-9", "box = 0"])
+def test_suite_invalid_override_is_exit_2(tmp_path, capsys, line):
+    cfg_path = tmp_path / "suite.cfg"
+    cfg_path.write_text(f"{line}\noutputs = {tmp_path / 'out'}\n")
+    code = main(["suite", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_ground_state_command_writes_profile(tmp_path, capsys):
     code = main(["ground-state", "--dim", "1", "--n", "256", "--box", "12.0",
                  "--out", str(tmp_path)])

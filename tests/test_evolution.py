@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsdamp import (
     ComplexField,
@@ -18,7 +20,13 @@ from nlsdamp import (
     sample,
     strang_step,
 )
-from nlsdamp.evolution import choose_dt, linear_substep, nonlinear_damping_substep
+from nlsdamp.diagnostics import random_smooth_field
+from nlsdamp.evolution import (
+    BOUNDARY_MASS_LIMIT,
+    choose_dt,
+    linear_substep,
+    nonlinear_damping_substep,
+)
 
 TOL = {
     "dispersion": 1e-12,
@@ -32,6 +40,7 @@ TOL = {
     "soliton_t1": 3e-5,
     "mass_decay": 1e-12,
     "choose_dt": 1e-12,
+    "merged_phases": 1e-12,
 }
 
 # Phase rate of the unit-amplitude kick at a = ln2/dt in one dimension:
@@ -268,3 +277,77 @@ def test_evolve_repeat_runs_bitwise_identical():
     assert len(first) == len(second)
     for x, y in zip(first, second):
         assert np.array_equal(x, y)
+
+
+def _edge_fraction(field_):
+    g = field_.grid
+    abs2 = np.abs(field_.values) ** 2
+    cheb = np.max(np.abs(np.stack(g.coords)), axis=0)
+    return float(abs2[cheb >= 0.9 * g.half_width].sum()) / float(abs2.sum())
+
+
+def test_boundary_flag_raised_between_record_points():
+    # A packet at group velocity 2k = 30 starts at x = 4 and ends at x = -4,
+    # crossing the periodic edge x = ±L in between. Only t = 0 and the stop
+    # are recorded, and both hold far less than the limit near the edge.
+    g = Grid(1, 256, 10.0)
+    u0 = sample(g, lambda x: 0.1 * np.exp(-0.5 * (x - 4.0) ** 2 + 15j * x))
+    cfg = SimConfig(dt0=1e-3, t_end=0.4, record_every=1000)
+    snapshots = []
+    report = evolve(u0, DampingProfile.zero(g), cfg,
+                    sink=lambda s, dt, tail: snapshots.append(s))
+    assert report.stop_reason is StopReason.HORIZON_REACHED
+    assert [s.step_count for s in snapshots] == [0, 400]
+    assert all(_edge_fraction(s.field) < 0.1 * BOUNDARY_MASS_LIMIT for s in snapshots)
+    assert report.boundary_mass_flag
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+def test_evolve_fft_budget(monkeypatch, dim, n):
+    # One forward FFT of u0, then one inverse and one forward per accepted
+    # step, and one inverse per snapshot handed to the sink.
+    calls = {"forward": 0, "inverse": 0}
+    for name, kind in (("fft", "forward"), ("fftn", "forward"),
+                       ("ifft", "inverse"), ("ifftn", "inverse")):
+        def counted(*args, _fn=getattr(np.fft, name), _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    g = Grid(dim, n, 10.0)
+    cfg = SimConfig(dt0=1e-3, t_end=0.011, record_every=3)
+    steps = []
+    evolve(_gaussian_field(g), DampingProfile.constant(g, 0.5), cfg,
+           sink=lambda s, dt, tail: steps.append(s.step_count))
+    assert steps == [0, 3, 6, 9, 11]
+    assert calls == {"forward": 11 + 1, "inverse": 11 + len(steps)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2]),
+    amplitude=st.floats(0.1, 2.0),
+    damping=st.floats(-1.0, 1.0),
+    steps=st.integers(1, 6),
+)
+def test_evolve_matches_unmerged_strang_steps(seed, dim, amplitude, damping, steps):
+    g = Grid(dim, 64 if dim == 1 else 16, 8.0)
+    f = random_smooth_field(g, np.random.default_rng(seed)).values
+    u0 = ComplexField(g, amplitude * f / np.max(np.abs(f)))
+    r2 = sum(c * c for c in g.coords)
+    a = DampingProfile(g, damping * np.exp(-r2 / 8.0),
+                       tuple(-(c / 4.0) * damping * np.exp(-r2 / 8.0) for c in g.coords))
+    dt = 1e-3
+    cfg = SimConfig(dt0=dt, t_end=steps * dt, adapt_const=1e30, dt_min=1e-9,
+                    tail_threshold=0.999, record_every=10**6)
+    snapshots = []
+    report = evolve(u0, a, cfg, sink=lambda s, dt_used, tail: snapshots.append(s))
+    assert report.stop_reason is StopReason.HORIZON_REACHED
+    assert snapshots[-1].step_count == steps
+
+    state = EvolutionState(0.0, u0.copy())
+    for _ in range(steps):
+        state = strang_step(state, a, dt)
+    ref = state.field.values
+    err = np.max(np.abs(snapshots[-1].field.values - ref))
+    assert err <= TOL["merged_phases"] * np.max(np.abs(ref))
