@@ -58,17 +58,21 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if not (self.dt0 > self.dt_min > 0):
-            raise ValueError(f"need dt0 > dt_min > 0, got dt0={self.dt0}, dt_min={self.dt_min}")
+            raise ConfigurationError(
+                f"need dt0 > dt_min > 0, got dt0={self.dt0}, dt_min={self.dt_min}"
+            )
         if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+            raise ConfigurationError(f"t_end must be positive, got {self.t_end}")
         if not self.adapt_const > 0:
-            raise ValueError(f"adapt_const must be positive, got {self.adapt_const}")
+            raise ConfigurationError(f"adapt_const must be positive, got {self.adapt_const}")
         if not (0.0 < self.tail_threshold < 1.0):
-            raise ValueError(f"tail_threshold must lie in (0, 1), got {self.tail_threshold}")
+            raise ConfigurationError(
+                f"tail_threshold must lie in (0, 1), got {self.tail_threshold}"
+            )
         if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
         if not self.blowup_grad_ratio > 1.0:
-            raise ValueError("blowup_grad_ratio must exceed 1")
+            raise ConfigurationError("blowup_grad_ratio must exceed 1")
 
 
 @dataclass
@@ -102,11 +106,9 @@ class _StrangKernel:
     Every stepping path, `evolve` and the single-step views below, runs this
     arithmetic. The free flow exp(-i|k|²h) is applied as one 1-D phase per
     axis, broadcast in place, so no full-grid complex exponential is formed.
-    The last few per-axis phases and the kick coefficients of the last dt are
-    cached; runs at a constant dt reuse them on every step.
+    The kick coefficients of the last dt are cached; runs at a constant dt
+    reuse them on every step.
     """
-
-    _PHASE_CACHE = 4
 
     def __init__(self, grid: Grid, a: Optional[DampingProfile] = None):
         self.grid = grid
@@ -119,7 +121,6 @@ class _StrangKernel:
         # Looked up at construction, not import, so a patched numpy.fft is seen.
         self.fft = np.fft.fft if grid.dim == 1 else np.fft.fftn
         self.ifft = np.fft.ifft if grid.dim == 1 else np.fft.ifftn
-        self._phases: dict = {}
         self._kick_dt: Optional[float] = None
         self._amp = self._coef = None
 
@@ -127,12 +128,7 @@ class _StrangKernel:
         """In place: û <- exp(-i|k|² h) û, the free flow over h."""
         if h == 0.0:
             return
-        p = self._phases.get(h)
-        if p is None:
-            if len(self._phases) >= self._PHASE_CACHE:
-                self._phases.clear()
-            p = np.exp(-1j * h * self.k2_axis)
-            self._phases[h] = p
+        p = np.exp(-1j * h * self.k2_axis)
         for shape in self.axis_shapes:
             u_hat *= p.reshape(shape)
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import ComplexField, Grid, norms
+from .spectral import ComplexField, ConfigurationError, Grid, norms
 
 __all__ = [
     "ConvergenceError",
@@ -89,7 +89,7 @@ def solve_ground_state(
     residual fails to reach `tol` within `max_iter` iterations.
     """
     if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise ConfigurationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     sigma = 4.0 / grid.dim

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,15 +61,6 @@ GS_CACHE_VERSION = 1
 # A scenario id names its output directory under the outputs root, so it may
 # hold no path separator and may not start with a dot.
 SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
-
-
-@contextmanager
-def _rejected_values() -> Iterator[None]:
-    """Report a value that a constructor rejects as a ConfigurationError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -139,8 +129,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"scenario id {self.scenario_id!r} must match {SCENARIO_ID_PATTERN.pattern}"
             )
-        with _rejected_values():
-            Grid.validate(self.dim, self.n, self.box)
 
 
 @dataclass(frozen=True)
@@ -252,16 +240,15 @@ def scenario_config_from_dict(data: Dict[str, object], default_id: str = "run") 
         sigma=float(d.pop("damping_sigma", 1.0)),
         wavelength=float(d.pop("damping_wavelength", 10.0)),
     )
-    with _rejected_values():
-        sim = SimConfig(
-            dt0=float(d.pop("dt0", 1e-3)),
-            t_end=float(d.pop("t_end", 10.0)),
-            adapt_const=float(d.pop("adapt_const", 1e-2)),
-            dt_min=float(d.pop("dt_min", 1e-7)),
-            tail_threshold=float(d.pop("tail_threshold", 1e-4)),
-            record_every=int(d.pop("record_every", 20)),
-            blowup_grad_ratio=float(d.pop("blowup_grad_ratio", 4.0)),
-        )
+    sim = SimConfig(
+        dt0=float(d.pop("dt0", 1e-3)),
+        t_end=float(d.pop("t_end", 10.0)),
+        adapt_const=float(d.pop("adapt_const", 1e-2)),
+        dt_min=float(d.pop("dt_min", 1e-7)),
+        tail_threshold=float(d.pop("tail_threshold", 1e-4)),
+        record_every=int(d.pop("record_every", 20)),
+        blowup_grad_ratio=float(d.pop("blowup_grad_ratio", 4.0)),
+    )
     cfg = ScenarioConfig(
         scenario_id=str(d.pop("id", default_id)),
         dim=int(d.pop("dim", 1)),
@@ -685,8 +672,7 @@ def apply_suite_overrides(configs: Sequence[ScenarioConfig], overrides: Dict[str
     out = []
     for cfg in configs:
         sim_updates = {k: overrides[k] for k in sim_keys if k in overrides}
-        with _rejected_values():
-            sim = replace(cfg.sim, **sim_updates) if sim_updates else cfg.sim
+        sim = replace(cfg.sim, **sim_updates) if sim_updates else cfg.sim
         top_updates = {}
         for key in ("n", "box", "outputs", "gs_tol", "conc_pass_threshold", "conc_decade"):
             if key in overrides:

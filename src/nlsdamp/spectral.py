@@ -57,20 +57,14 @@ class Grid:
     k_mesh: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @staticmethod
-    def validate(dim: int, points_per_axis: int, half_width: float) -> None:
-        """Raise ValueError unless the arguments describe a valid grid."""
-        if dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
-        n = points_per_axis
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"points_per_axis must be a power of two >= 2, got {n}")
-        if not (np.isfinite(half_width) and half_width > 0):
-            raise ValueError(f"half_width must be positive, got {half_width}")
-
     def __post_init__(self) -> None:
-        self.validate(self.dim, self.points_per_axis, self.half_width)
+        if self.dim not in (1, 2, 3):
+            raise ConfigurationError(f"dim must be 1, 2, or 3, got {self.dim}")
         n = self.points_per_axis
+        if n < 2 or n & (n - 1):
+            raise ConfigurationError(f"points_per_axis must be a power of two >= 2, got {n}")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ConfigurationError(f"half_width must be positive, got {self.half_width}")
         axis = -self.half_width + self.spacing * np.arange(n)
         k_axis = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
         coords = np.meshgrid(*(axis,) * self.dim, indexing="ij")

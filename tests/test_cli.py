@@ -101,6 +101,26 @@ def test_suite_invalid_override_is_exit_2(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ground-state", "--dim", "1", "--n", "100", "--box", "10.0"],
+        ["ground-state", "--dim", "1", "--n", "256", "--box", "10.0", "--tol", "0"],
+        ["gn-check", "--dim", "1", "--n", "100"],
+        ["gn-check", "--dim", "1", "--box", "-1.0"],
+    ],
+)
+def test_grid_arguments_invalid_is_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    out_args = ["--out", str(tmp_path / "out")] if argv[0] == "ground-state" else []
+    code = main(argv + out_args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ground_state_command_writes_profile(tmp_path, capsys):
     code = main(["ground-state", "--dim", "1", "--n", "256", "--box", "12.0",
                  "--out", str(tmp_path)])
