@@ -62,13 +62,35 @@ def closed_form_q_1d(x) -> np.ndarray:
     return (3.0 * sech * sech) ** 0.25
 
 
+def _half_spectrum(grid: Grid):
+    """1 + |k|² on the `rfftn` half spectrum, and the Parseval weight of each
+    last-axis column: 1 for columns 0 and n/2, 2 for the others, which also
+    stand for their conjugate mirror images.
+    """
+    m = grid.points_per_axis // 2 + 1
+    weight = np.full(m, 2.0)
+    weight[[0, -1]] = 1.0
+    return 1.0 + grid.k2[..., :m], weight
+
+
+def _spectra(q: np.ndarray, sigma: float):
+    """Half spectra of q and of |q|^σ q, with |q|^σ q itself."""
+    nonlin = np.abs(q) ** sigma * q
+    return np.fft.rfftn(q), nonlin, np.fft.rfftn(nonlin)
+
+
+def _residual(grid: Grid, helmholtz, weight, q_hat, nonlin_hat) -> float:
+    """L² norm of ΔQ - Q + |Q|^σ Q from the half spectra of Q and |Q|^σ Q."""
+    r = nonlin_hat - helmholtz * q_hat
+    r2 = weight * (r.real**2 + r.imag**2)
+    return float(np.sqrt(r2.sum() * grid.cell_volume / grid.size))
+
+
 def pde_residual(grid: Grid, profile: np.ndarray) -> float:
     """L² norm of ΔQ - Q + |Q|^(4/d) Q for real samples Q."""
     q = np.asarray(profile, dtype=np.float64)
-    sigma = 4.0 / grid.dim
-    linear = np.fft.ifftn((-grid.k2 - 1.0) * np.fft.fftn(q)).real
-    r = linear + np.abs(q) ** sigma * q
-    return float(np.sqrt((r * r).sum() * grid.cell_volume))
+    q_hat, _, nonlin_hat = _spectra(q, 4.0 / grid.dim)
+    return _residual(grid, *_half_spectrum(grid), q_hat, nonlin_hat)
 
 
 def solve_ground_state(
@@ -85,6 +107,11 @@ def solve_ground_state(
     rolling the peak back to the box center after every update; convergence
     is declared when the PDE residual drops below `tol`.
 
+    Q is real, so the loop works on half spectra (`rfftn`/`irfftn`). Each
+    pass forms the spectra of Q and |Q|^(4/d) Q once; they give the residual
+    of the current iterate, the quotient S and the next update, so a pass
+    costs two forward and one inverse real FFT.
+
     Raises ConvergenceError if the iterate collapses toward zero or the
     residual fails to reach `tol` within `max_iter` iterations.
     """
@@ -95,7 +122,8 @@ def solve_ground_state(
     sigma = 4.0 / grid.dim
     gamma = (1.0 + sigma) / sigma
     vol = grid.cell_volume
-    inv_helmholtz = 1.0 / (1.0 + grid.k2)
+    helmholtz, weight = _half_spectrum(grid)
+    inv_helmholtz = 1.0 / helmholtz
     if initial is None:
         r2 = sum(c * c for c in grid.coords)
         q = 2.0 * np.exp(-r2)
@@ -104,30 +132,31 @@ def solve_ground_state(
         if q.shape != grid.shape:
             raise ValueError("initial iterate does not match the grid shape")
     center = grid.points_per_axis // 2
+    axes = tuple(range(grid.dim))
     last_residual: Optional[float] = None
-    for _ in range(max_iter):
-        q_hat = np.fft.fftn(q)
-        quad = np.abs(q_hat) ** 2
-        mass_sq = quad.sum() * vol / grid.size
-        grad_sq = (grid.k2 * quad).sum() * vol / grid.size
-        nonlin = np.abs(q) ** sigma * q
+    # Pass 0 only updates; pass i >= 1 first reads the residual of update i.
+    for updates in range(max_iter + 1):
+        q_hat, nonlin, nonlin_hat = _spectra(q, sigma)
+        if updates:
+            last_residual = _residual(grid, helmholtz, weight, q_hat, nonlin_hat)
+            if last_residual < tol:
+                nm = norms(ComplexField(grid, q))
+                return GroundState(grid, q, nm.mass_sq, nm.grad_sq, nm.lp_power, last_residual)
+            if updates == max_iter:
+                break
         coupling = (nonlin * q).sum() * vol
         if not np.isfinite(coupling) or coupling <= 0.0:
             raise ConvergenceError(
                 "iteration collapsed to the zero field; retry with a larger initial amplitude",
                 residual=last_residual,
             )
-        s = (mass_sq + grad_sq) / coupling
-        q = float(s) ** gamma * np.fft.ifftn(inv_helmholtz * np.fft.fftn(nonlin)).real
+        quad = weight * helmholtz * (q_hat.real**2 + q_hat.imag**2)
+        s = quad.sum() * vol / grid.size / coupling
+        q = float(s) ** gamma * np.fft.irfftn(inv_helmholtz * nonlin_hat, s=grid.shape, axes=axes)
         peak = np.unravel_index(int(np.argmax(q)), q.shape)
         shift = tuple(center - p for p in peak)
         if any(shift):
-            q = np.roll(q, shift, axis=tuple(range(grid.dim)))
-        last_residual = pde_residual(grid, q)
-        if last_residual < tol:
-            f = ComplexField(grid, q)
-            nm = norms(f)
-            return GroundState(grid, q, nm.mass_sq, nm.grad_sq, nm.lp_power, last_residual)
+            q = np.roll(q, shift, axis=axes)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {last_residual:.3e})",
         residual=last_residual,

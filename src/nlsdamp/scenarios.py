@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import tempfile
+import warnings
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,7 +60,7 @@ PEAK_GRAD_RATIO_BOUND = 100.0
 # Detection-time mass must retain this fraction of the critical norm.
 MASS_CONSISTENCY_FRACTION = 0.95
 
-GS_CACHE_VERSION = 1
+GS_CACHE_VERSION = 2
 
 # A scenario id names its output directory under the outputs root, so it may
 # hold no path separator and may not start with a dot.
@@ -203,9 +207,10 @@ _SUITE_KEYS = (
 
 
 def parse_config_text(text: str, allowed: Optional[Sequence[str]] = None) -> Dict[str, object]:
-    """Parse flat key=value lines; unknown keys are configuration errors."""
+    """Parse flat key=value lines; unknown or repeated keys are configuration errors."""
     keys = _SCENARIO_KEYS if allowed is None else {k: _SCENARIO_KEYS[k] for k in allowed}
     out: Dict[str, object] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -217,6 +222,11 @@ def parse_config_text(text: str, allowed: Optional[Sequence[str]] = None) -> Dic
         value = value.strip()
         if key not in keys:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigurationError(
+                f"line {lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         caster = keys[key]
         try:
             out[key] = caster(value)
@@ -278,8 +288,9 @@ def load_scenario_config(path) -> ScenarioConfig:
 def build_damping(grid: Grid, spec: DampingSpec) -> DampingProfile:
     """Sample the damping family in closed form, gradient included.
 
-    The cosine profile is smooth on the box only when the wavelength divides
-    the box width; choose it accordingly.
+    The cosine profile is periodic on the box only when the wavelength
+    divides the box width 2L; any other wavelength is a configuration error,
+    since a(x) would have a kink at the box edge.
     """
     if spec.kind == "zero":
         return DampingProfile.zero(grid)
@@ -294,6 +305,12 @@ def build_damping(grid: Grid, spec: DampingSpec) -> DampingProfile:
         grads = tuple(-(c / s2) * vals for c in grid.coords)
         return DampingProfile(grid, vals, grads)
     # cosine along the first axis
+    periods = 2.0 * grid.half_width / spec.wavelength
+    if abs(periods - round(periods)) > 1e-9 * periods:
+        raise ConfigurationError(
+            f"cosine wavelength {spec.wavelength:g} does not divide the box width "
+            f"{2.0 * grid.half_width:g}"
+        )
     kwave = 2.0 * math.pi / spec.wavelength
     x1 = grid.coords[0]
     vals = spec.amplitude * np.cos(kwave * x1)
@@ -320,7 +337,54 @@ def build_initial(grid: Grid, spec: InitialSpec, gs: Optional[GroundState]) -> C
 # --- ground-state cache ------------------------------------------------------
 
 def _cache_path(cache_dir: Path, dim: int, n: int, box: float, tol: float) -> Path:
-    return cache_dir / f"gs-v{GS_CACHE_VERSION}-d{dim}-n{n}-L{box:.8g}-tol{tol:.3g}.npz"
+    # repr keeps every digit, so two parameter sets never share one file.
+    return cache_dir / f"gs-v{GS_CACHE_VERSION}-d{dim}-n{n}-L{box!r}-tol{tol!r}.npz"
+
+
+def _load_ground_state(path: Path, grid: Grid, tol: float) -> GroundState:
+    """Read a cached solve; ValueError names why the file does not fit."""
+    with np.load(path) as data:
+        version = int(data["version"])
+        if version != GS_CACHE_VERSION:
+            raise ValueError(f"version {version}, expected {GS_CACHE_VERSION}")
+        stored = (int(data["dim"]), int(data["n"]), float(data["box"]), float(data["tol"]))
+        wanted = (grid.dim, grid.points_per_axis, grid.half_width, tol)
+        if stored != wanted:
+            raise ValueError(f"solved for (dim, n, box, tol) = {stored}, need {wanted}")
+        profile = data["profile"]
+        if profile.shape != grid.shape or profile.dtype != np.float64:
+            raise ValueError(
+                f"profile is {profile.dtype} {profile.shape}, need float64 {grid.shape}"
+            )
+        scalars = [float(data[k]) for k in ("mass_sq", "grad_sq", "lp_power", "residual")]
+        if not (np.isfinite(profile).all() and np.isfinite(scalars).all()):
+            raise ValueError("non-finite values")
+    return GroundState(grid, profile, *scalars)
+
+
+def _save_ground_state(path: Path, gs: GroundState, tol: float) -> None:
+    """Write the cache through a temporary file, so no reader sees a partial one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".gs-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                version=GS_CACHE_VERSION,
+                dim=gs.grid.dim,
+                n=gs.grid.points_per_axis,
+                box=gs.grid.half_width,
+                tol=tol,
+                profile=gs.profile,
+                mass_sq=gs.mass_sq,
+                grad_sq=gs.grad_sq,
+                lp_power=gs.lp_power,
+                residual=gs.residual,
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def ensure_ground_state(
@@ -330,34 +394,25 @@ def ensure_ground_state(
     tol: float,
     cache_dir: Optional[Path] = None,
 ) -> GroundState:
-    """Solve the ground state, reusing a cached profile keyed by (dim, n, box, tol)."""
+    """Solve the ground state, reusing a cached profile keyed by (dim, n, box, tol).
+
+    A cached file is used only if it is readable, has the current version,
+    was solved for the same (dim, n, box, tol), and holds a finite float64
+    profile of the grid's shape. Otherwise a warning says why, and the
+    profile is solved again and the file overwritten.
+    """
     grid = Grid(dim, n, box)
+    path = None
     if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        path = _cache_path(cache_dir, dim, n, box, tol)
+        path = _cache_path(Path(cache_dir), dim, n, box, tol)
         if path.exists():
-            data = np.load(path)
-            if int(data["version"]) == GS_CACHE_VERSION:
-                return GroundState(
-                    grid=grid,
-                    profile=np.asarray(data["profile"], dtype=np.float64),
-                    mass_sq=float(data["mass_sq"]),
-                    grad_sq=float(data["grad_sq"]),
-                    lp_power=float(data["lp_power"]),
-                    residual=float(data["residual"]),
-                )
+            try:
+                return _load_ground_state(path, grid, tol)
+            except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
+                warnings.warn(f"ground-state cache {path} rejected ({exc}); solving again")
     gs = solve_ground_state(grid, tol=tol)
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            _cache_path(cache_dir, dim, n, box, tol),
-            version=GS_CACHE_VERSION,
-            profile=gs.profile,
-            mass_sq=gs.mass_sq,
-            grad_sq=gs.grad_sq,
-            lp_power=gs.lp_power,
-            residual=gs.residual,
-        )
+    if path is not None:
+        _save_ground_state(path, gs, tol)
     return gs
 
 
@@ -551,12 +606,12 @@ def run_scenario(
     (tail guard before any steps) gets a report but no claim checks.
     """
     grid = Grid(cfg.dim, cfg.n, cfg.box)
+    a = build_damping(grid, cfg.damping)
     if gs is None:
         cache = Path(cfg.outputs) / "gs_cache" if write_outputs else None
         gs = ensure_ground_state(cfg.dim, cfg.n, cfg.box, cfg.gs_tol, cache_dir=cache)
     if not gs.grid.same_layout(grid):
         raise ConfigurationError("supplied ground state does not match the scenario grid")
-    a = build_damping(grid, cfg.damping)
     u0 = build_initial(grid, cfg.initial, gs)
     outer_fraction = _initial_outer_mass_fraction(u0)
     recorder = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq), store_fields=True)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nlsdamp.cli import main
@@ -89,6 +90,39 @@ def test_evolve_invalid_value_is_exit_2(tmp_path, capsys, old, new):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
+def test_evolve_duplicate_key_is_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(EVOLVE_CONFIG.format(out=tmp_path / "out") + "n = 128\n")
+    code = main(["evolve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "configuration error: line 15: key 'n' repeats line 3\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+def test_evolve_nonperiodic_cosine_is_exit_2(tmp_path, capsys):
+    text = EVOLVE_CONFIG.format(out=tmp_path / "out").replace("box = 15.0", "box = 10.0")
+    text = text.replace("damping = gaussian_bump", "damping = cosine")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text + "damping_wavelength = 7\n")
+    code = main(["evolve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: cosine wavelength 7 ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+def test_suite_duplicate_key_is_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "suite.cfg"
+    cfg_path.write_text(f"t_end = 1.0\noutputs = {tmp_path / 'out'}\nt_end = 2.0\n")
+    code = main(["suite", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "configuration error: line 3: key 't_end' repeats line 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["n = 100", "dt0 = 1e-9", "box = 0"])
 def test_suite_invalid_override_is_exit_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "suite.cfg"
@@ -134,6 +168,22 @@ def test_ground_state_command_writes_profile(tmp_path, capsys):
     csv_lines = (tmp_path / "ground_state_d1.csv").read_text().splitlines()
     assert csv_lines[0] == "x_1,q"
     assert len(csv_lines) == 1 + 256
+
+
+def test_ground_state_command_over_corrupt_cache(tmp_path, capsys):
+    argv = ["ground-state", "--dim", "1", "--n", "128", "--box", "12.0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    (path,) = (tmp_path / "gs_cache").glob("gs-v*.npz")
+    path.write_bytes(b"not a zip archive")
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="rejected"):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert "pde residual" in captured.out
+    with np.load(path) as data:
+        assert data["profile"].shape == (128,)
 
 
 def test_suite_bad_config_is_exit_2(tmp_path, capsys):

@@ -15,6 +15,7 @@ from nlsdamp import (
     pohozaev_residuals,
     solve_ground_state,
 )
+import nlsdamp.ground_state as ground_state
 from nlsdamp.ground_state import pde_residual
 
 TOL = {
@@ -138,3 +139,49 @@ def test_field_view_is_complex(gs_1d):
     f = gs_1d.field()
     assert f.values.dtype == np.complex128
     assert np.max(np.abs(f.values.imag)) == 0.0
+
+
+def _count_ffts(monkeypatch):
+    """Count numpy.fft calls by name, and the full-FFT calls made inside `norms`."""
+    calls = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0, "in_norms": 0}
+    inside = [False]
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            calls["in_norms"] += inside[0] and _name in ("fftn", "ifftn")
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def norms_counted(*args, _fn=ground_state.norms, **kwargs):
+        inside[0] = True
+        try:
+            return _fn(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ground_state, "norms", norms_counted)
+    return calls
+
+
+def test_solve_fft_budget(monkeypatch):
+    # Pass i reads the residual of update i from the two forward half spectra
+    # it forms anyway; updates are the only inverse transforms. Full complex
+    # FFTs happen only in the final `norms`.
+    calls = _count_ffts(monkeypatch)
+    solve_ground_state(Grid(2, 64, 10.0), tol=1e-10)
+    updates = calls["irfftn"]
+    assert updates > 0
+    assert calls["rfftn"] == 2 * (updates + 1)
+    assert calls["fftn"] + calls["ifftn"] == calls["in_norms"] == 1
+
+
+@pytest.mark.parametrize(
+    "grid, updates",
+    [(Grid(1, 512, 20.0), 27), (Grid(2, 128, 10.0), 44)],
+    ids=["1d-512", "2d-128"],
+)
+def test_solve_iteration_count(monkeypatch, grid, updates):
+    calls = _count_ffts(monkeypatch)
+    gs = solve_ground_state(grid, tol=1e-10)
+    assert calls["irfftn"] == updates
+    assert gs.residual < 1e-10

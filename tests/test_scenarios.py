@@ -1,6 +1,7 @@
 """Config parsing, field builders, claim-check gating, and the run catalog."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,8 @@ def test_parse_config_reports_line_numbers():
         parse_config_text("bogus = 3\n")
     with pytest.raises(ConfigurationError, match="bad value"):
         parse_config_text("dim = large\n")
+    with pytest.raises(ConfigurationError, match="line 3: key 'dim' repeats line 1"):
+        parse_config_text("dim = 1\nn = 64\ndim = 2\n")
 
 
 def test_suite_keys_exclude_identity():
@@ -226,6 +229,50 @@ def test_ensure_ground_state_cache_roundtrip(tmp_path):
     fresh = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=None)
     assert np.allclose(fresh.profile, first.profile)
 
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _wrong_shape(path):
+    data = dict(np.load(path))
+    data["profile"] = data["profile"][:64]
+    np.savez(path, **data)
+
+
+def _other_box(path):
+    data = dict(np.load(path))
+    data["box"] = np.float64(12.5)
+    np.savez(path, **data)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _wrong_shape, _other_box],
+                         ids=["truncated", "wrong_shape", "other_box"])
+def test_ensure_ground_state_rejects_bad_cache(tmp_path, damage):
+    first = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("gs-v*.npz")
+    damage(path)
+    with pytest.warns(UserWarning, match="rejected"):
+        again = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+    assert np.array_equal(again.profile, first.profile)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    # The re-solve overwrote the damaged file, so the next call is a clean hit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+    assert np.array_equal(hit.profile, first.profile)
+
+
+
+def test_ensure_ground_state_cache_keeps_close_parameters_apart(tmp_path):
+    near = 12.0 * (1.0 + 1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            a = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+            b = ensure_ground_state(1, 128, near, 1e-9, cache_dir=tmp_path)
+    assert len(list(tmp_path.glob("gs-v*.npz"))) == 2
+    assert a.grid.half_width == 12.0 and b.grid.half_width == near
 
 # --- claim-check gating ------------------------------------------------------
 
