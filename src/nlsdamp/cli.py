@@ -23,6 +23,7 @@ from .scenarios import (
     ensure_ground_state,
     load_scenario_config,
     parse_suite_config_text,
+    read_config_text,
     run_scenario,
     run_suite,
     summary_table,
@@ -141,7 +142,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     overrides = {}
     if args.config is not None:
-        overrides = parse_suite_config_text(Path(args.config).read_text(encoding="utf-8"))
+        overrides = parse_suite_config_text(read_config_text(args.config))
     results, status = run_suite(overrides)
     print(summary_table(results))
     out_root = str(overrides.get("outputs", "outputs"))
@@ -180,9 +181,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

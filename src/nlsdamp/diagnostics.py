@@ -16,7 +16,6 @@ from .spectral import ComplexField, DampingProfile, norms
 __all__ = [
     "WindowRule",
     "gradient_window_rule",
-    "fixed_window_rule",
     "DiagnosticsRow",
     "compute_row",
     "TrajectoryRecorder",
@@ -53,13 +52,6 @@ def gradient_window_rule(ref_grad_sq: float, w0: float = 1.0) -> WindowRule:
         if grad_sq <= 0.0:
             return math.inf
         return w0 * (ref_grad_sq / grad_sq) ** 0.25
-
-    return rule
-
-
-def fixed_window_rule(w: float) -> WindowRule:
-    def rule(grad_sq: float) -> float:
-        return w
 
     return rule
 
@@ -102,26 +94,25 @@ def compute_row(
     """
     g = state.field.grid
     d = g.dim
-    vol = g.cell_volume
     vals = state.field.values
     abs2 = vals.real**2 + vals.imag**2
-    mass_sq = float(abs2.sum() * vol)
+    mass_sq = g.integrate(abs2)
     u_hat = np.fft.fftn(vals)
     spec2 = u_hat.real**2 + u_hat.imag**2
-    grad_sq = float((g.k2 * spec2).sum() * vol / g.size)
+    grad_sq = g.integrate(g.k2 * spec2) / g.size
     p = 4.0 / d + 2.0
     absp = abs2 ** (p / 2.0)
-    lp_power = float(absp.sum() * vol)
+    lp_power = g.integrate(absp)
     energy = 0.5 * grad_sq - d / (4.0 + 2.0 * d) * lp_power
     grads = [np.fft.ifftn(1j * k * u_hat) for k in g.k_mesh]
     conj_v = vals.conj()
-    momentum = tuple(float((gj * conj_v).imag.sum() * vol) for gj in grads)
+    momentum = tuple(g.integrate((gj * conj_v).imag) for gj in grads)
     grad_abs2 = sum(gj.real**2 + gj.imag**2 for gj in grads)
-    int_a_u2 = float((a.values * abs2).sum() * vol)
-    int_a_grad2 = float((a.values * grad_abs2).sum() * vol)
-    int_a_lp = float((a.values * absp).sum() * vol)
-    re_grad_a_term = float(
-        sum(((gj * conj_v).real * ga).sum() for gj, ga in zip(grads, a.gradient_values)) * vol
+    int_a_u2 = g.integrate(a.values * abs2)
+    int_a_grad2 = g.integrate(a.values * grad_abs2)
+    int_a_lp = g.integrate(a.values * absp)
+    re_grad_a_term = g.integrate(
+        sum(((gj * conj_v).real * ga).sum() for gj, ga in zip(grads, a.gradient_values))
     )
     h_value = -int_a_grad2 + int_a_lp - re_grad_a_term
     if mass_sq == 0.0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -16,10 +16,7 @@ __all__ = [
     "SimConfig",
     "EvolutionState",
     "BlowupReport",
-    "linear_substep",
-    "nonlinear_damping_substep",
     "strang_step",
-    "choose_dt",
     "evolve",
 ]
 
@@ -73,6 +70,10 @@ class SimConfig:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
         if not self.blowup_grad_ratio > 1.0:
             raise ConfigurationError("blowup_grad_ratio must exceed 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -103,9 +104,9 @@ Sink = Callable[[EvolutionState, float, float], None]
 class _StrangKernel:
     """Free-flow phase and damping kick of the Strang step on one grid and damping.
 
-    Every stepping path, `evolve` and the single-step views below, runs this
-    arithmetic. The free flow exp(-i|k|²h) is applied as one 1-D phase per
-    axis, broadcast in place, so no full-grid complex exponential is formed.
+    Both stepping paths, `evolve` and `strang_step`, run this arithmetic.
+    The free flow exp(-i|k|²h) is applied as one 1-D phase per axis,
+    broadcast in place, so no full-grid complex exponential is formed.
     The kick coefficients of the last dt are cached; runs at a constant dt
     reuse them on every step.
     """
@@ -200,21 +201,6 @@ def _spectral_norms(
     return total, grad_sq, tail
 
 
-def linear_substep(field_: ComplexField, dt: float) -> ComplexField:
-    """Free flow over dt: spectrum multiplied by exp(-i|k|² dt). Preserves mass."""
-    kernel = _StrangKernel(field_.grid)
-    u_hat = kernel.fft(field_.values)
-    kernel.phase(u_hat, dt)
-    return ComplexField(field_.grid, kernel.ifft(u_hat))
-
-
-def nonlinear_damping_substep(field_: ComplexField, a: DampingProfile, dt: float) -> ComplexField:
-    """Exact pointwise flow of u_t = i|u|^(4/d) u - a(x) u over one step."""
-    u = field_.values.copy()
-    _StrangKernel(field_.grid, a).kick(u, dt)
-    return ComplexField(field_.grid, u)
-
-
 def strang_step(state: EvolutionState, a: DampingProfile, dt: float) -> EvolutionState:
     """Second-order composition: half linear, full nonlinear/damping, half linear.
 
@@ -232,13 +218,6 @@ def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:
     if grad_sq <= 0.0:
         return cfg.dt0
     return max(cfg.dt_min, min(cfg.dt0, cfg.adapt_const / grad_sq))
-
-
-def choose_dt(state: EvolutionState, cfg: SimConfig) -> float:
-    """Adaptive step: dt = max(dt_min, min(dt0, adapt_const/‖∇u‖²))."""
-    field_ = state.field
-    _, grad_sq, _ = _spectral_norms(_StrangKernel(field_.grid).fft(field_.values), field_.grid)
-    return _dt_from_grad(grad_sq, cfg)
 
 
 def _tail_mask(grid: Grid) -> np.ndarray:

@@ -8,9 +8,9 @@ import re
 import tempfile
 import warnings
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "TheoremCheckReport",
     "ScenarioResult",
     "parse_config_text",
+    "read_config_text",
     "load_scenario_config",
     "build_damping",
     "build_initial",
@@ -71,7 +72,7 @@ SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 class InitialSpec:
     """Initial datum: a scaled, Gaussian, or velocity-boosted profile."""
 
-    kind: str
+    kind: str = "scaled_ground_state"
     scale: float = 1.0
     amplitude: float = 1.0
     width: float = 1.0
@@ -88,7 +89,7 @@ class InitialSpec:
 class DampingSpec:
     """Damping coefficient family and its parameters."""
 
-    kind: str
+    kind: str = "zero"
     amplitude: float = 0.0
     sigma: float = 1.0
     wavelength: float = 10.0
@@ -112,26 +113,48 @@ class DampingSpec:
         return self.kind in ("constant", "gaussian_bump") and self.amplitude > 0
 
 
+_SUITE = {"suite": True}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run.
 
-    scenario_id: str
-    dim: int
-    n: int
-    box: float
-    initial: InitialSpec
-    damping: DampingSpec
-    sim: SimConfig
-    outputs: str = "outputs"
-    gs_tol: float = 1e-10
-    conc_pass_threshold: float = 0.9
-    conc_decade: float = 10.0
+    The fields declare the flat `key = value` config schema. A plain field
+    is the key of its name, or of its metadata "key". The fields of a nested
+    spec are the keys `<prefix><name>`, except its `kind`, whose key is the
+    metadata "kind". Metadata "suite" marks the keys that a suite config may
+    set for every catalog entry.
+    """
+
+    scenario_id: str = field(metadata={"key": "id"})
+    dim: int = 1
+    n: int = field(default=512, metadata=_SUITE)
+    box: float = field(default=20.0, metadata=_SUITE)
+    initial: InitialSpec = field(
+        default_factory=InitialSpec, metadata={"prefix": "initial_", "kind": "initial_data"}
+    )
+    damping: DampingSpec = field(
+        default_factory=DampingSpec, metadata={"prefix": "damping_", "kind": "damping"}
+    )
+    sim: SimConfig = field(default_factory=SimConfig, metadata={"prefix": "", **_SUITE})
+    outputs: str = field(default="outputs", metadata=_SUITE)
+    gs_tol: float = field(default=1e-10, metadata=_SUITE)
+    conc_pass_threshold: float = field(default=0.9, metadata=_SUITE)
+    conc_decade: float = field(default=10.0, metadata=_SUITE)
 
     def __post_init__(self) -> None:
         if not SCENARIO_ID_PATTERN.fullmatch(self.scenario_id):
             raise ConfigurationError(
                 f"scenario id {self.scenario_id!r} must match {SCENARIO_ID_PATTERN.pattern}"
+            )
+        if not (math.isfinite(self.conc_pass_threshold) and self.conc_pass_threshold > 0):
+            raise ConfigurationError(
+                f"conc_pass_threshold must be finite and > 0, got {self.conc_pass_threshold}"
+            )
+        if not (math.isfinite(self.conc_decade) and self.conc_decade > 1):
+            raise ConfigurationError(
+                f"conc_decade must be finite and > 1, got {self.conc_decade}"
             )
 
 
@@ -161,49 +184,46 @@ class ScenarioResult:
 
 # --- configuration files ---------------------------------------------------
 
-_SCENARIO_KEYS: Dict[str, type] = {
-    "id": str,
-    "dim": int,
-    "n": int,
-    "box": float,
-    "initial_data": str,
-    "initial_scale": float,
-    "initial_amplitude": float,
-    "initial_width": float,
-    "initial_velocity": float,
-    "damping": str,
-    "damping_amplitude": float,
-    "damping_sigma": float,
-    "damping_wavelength": float,
-    "dt0": float,
-    "t_end": float,
-    "adapt_const": float,
-    "dt_min": float,
-    "tail_threshold": float,
-    "record_every": int,
-    "blowup_grad_ratio": float,
-    "outputs": str,
-    "gs_tol": float,
-    "conc_pass_threshold": float,
-    "conc_decade": float,
-}
+class _Key(NamedTuple):
+    spec: Optional[str]  # the nested spec field it sets, or None for a plain field
+    name: str
+    cast: type
+    suite: bool
 
+
+def _schema() -> Tuple[Dict[str, _Key], Dict[str, type]]:
+    """The flat config keys, and the type of each nested spec, from ScenarioConfig."""
+    hints = get_type_hints(ScenarioConfig)
+    keys: Dict[str, _Key] = {}
+    specs: Dict[str, type] = {}
+    for top in fields(ScenarioConfig):
+        meta = top.metadata
+        suite = meta.get("suite", False)
+        if "prefix" not in meta:
+            keys[meta.get("key", top.name)] = _Key(None, top.name, hints[top.name], suite)
+            continue
+        spec = specs[top.name] = hints[top.name]
+        spec_hints = get_type_hints(spec)
+        for f in fields(spec):
+            key = meta["kind"] if f.name == "kind" else meta["prefix"] + f.name
+            keys[key] = _Key(top.name, f.name, spec_hints[f.name], suite)
+    return keys, specs
+
+
+_SCENARIO_KEYS, _SPECS = _schema()
 # Keys a suite config may set; they override every catalog entry.
-_SUITE_KEYS = (
-    "outputs",
-    "n",
-    "box",
-    "dt0",
-    "t_end",
-    "adapt_const",
-    "dt_min",
-    "tail_threshold",
-    "record_every",
-    "blowup_grad_ratio",
-    "gs_tol",
-    "conc_pass_threshold",
-    "conc_decade",
-)
+_SUITE_KEYS = tuple(k for k, key in _SCENARIO_KEYS.items() if key.suite)
+
+
+def _split(data: Dict[str, object]) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]]]:
+    """Cast flat key values and group them into plain fields and per-spec fields."""
+    plain: Dict[str, object] = {}
+    nested: Dict[str, Dict[str, object]] = {}
+    for flat, value in data.items():
+        key = _SCENARIO_KEYS[flat]
+        target = plain if key.spec is None else nested.setdefault(key.spec, {})
+        target[key.name] = key.cast(value)
+    return plain, nested
 
 
 def parse_config_text(text: str, allowed: Optional[Sequence[str]] = None) -> Dict[str, object]:
@@ -227,60 +247,36 @@ def parse_config_text(text: str, allowed: Optional[Sequence[str]] = None) -> Dic
                 f"line {lineno}: key {key!r} repeats line {first_line[key]}"
             )
         first_line[key] = lineno
-        caster = keys[key]
         try:
-            out[key] = caster(value)
+            out[key] = keys[key].cast(value)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return out
 
 
 def scenario_config_from_dict(data: Dict[str, object], default_id: str = "run") -> ScenarioConfig:
-    d = dict(data)
-    initial = InitialSpec(
-        kind=str(d.pop("initial_data", "scaled_ground_state")),
-        scale=float(d.pop("initial_scale", 1.0)),
-        amplitude=float(d.pop("initial_amplitude", 1.0)),
-        width=float(d.pop("initial_width", 1.0)),
-        velocity=float(d.pop("initial_velocity", 0.0)),
-    )
-    damping = DampingSpec(
-        kind=str(d.pop("damping", "zero")),
-        amplitude=float(d.pop("damping_amplitude", 0.0)),
-        sigma=float(d.pop("damping_sigma", 1.0)),
-        wavelength=float(d.pop("damping_wavelength", 10.0)),
-    )
-    sim = SimConfig(
-        dt0=float(d.pop("dt0", 1e-3)),
-        t_end=float(d.pop("t_end", 10.0)),
-        adapt_const=float(d.pop("adapt_const", 1e-2)),
-        dt_min=float(d.pop("dt_min", 1e-7)),
-        tail_threshold=float(d.pop("tail_threshold", 1e-4)),
-        record_every=int(d.pop("record_every", 20)),
-        blowup_grad_ratio=float(d.pop("blowup_grad_ratio", 4.0)),
-    )
-    cfg = ScenarioConfig(
-        scenario_id=str(d.pop("id", default_id)),
-        dim=int(d.pop("dim", 1)),
-        n=int(d.pop("n", 512)),
-        box=float(d.pop("box", 20.0)),
-        initial=initial,
-        damping=damping,
-        sim=sim,
-        outputs=str(d.pop("outputs", "outputs")),
-        gs_tol=float(d.pop("gs_tol", 1e-10)),
-        conc_pass_threshold=float(d.pop("conc_pass_threshold", 0.9)),
-        conc_decade=float(d.pop("conc_decade", 10.0)),
-    )
-    if d:
-        raise ConfigurationError(f"unused configuration keys: {sorted(d)}")
+    plain, nested = _split({k: v for k, v in data.items() if k in _SCENARIO_KEYS})
+    specs = {name: spec(**nested.get(name, {})) for name, spec in _SPECS.items()}
+    cfg = ScenarioConfig(**{"scenario_id": default_id, **plain}, **specs)
+    unused = sorted(set(data) - set(_SCENARIO_KEYS))
+    if unused:
+        raise ConfigurationError(f"unused configuration keys: {unused}")
     return cfg
 
 
+def read_config_text(path) -> str:
+    """The text of a config file; a file that cannot be read is a configuration error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_scenario_config(path) -> ScenarioConfig:
-    p = Path(path)
-    data = parse_config_text(p.read_text(encoding="utf-8"))
-    return scenario_config_from_dict(data, default_id=p.stem)
+    data = parse_config_text(read_config_text(path))
+    return scenario_config_from_dict(data, default_id=Path(path).stem)
 
 
 # --- field builders ----------------------------------------------------------
@@ -722,18 +718,11 @@ def catalog(outputs: str = "outputs") -> List[ScenarioConfig]:
 
 
 def apply_suite_overrides(configs: Sequence[ScenarioConfig], overrides: Dict[str, object]) -> List[ScenarioConfig]:
-    sim_keys = {"dt0", "t_end", "adapt_const", "dt_min", "tail_threshold",
-                "record_every", "blowup_grad_ratio"}
-    out = []
-    for cfg in configs:
-        sim_updates = {k: overrides[k] for k in sim_keys if k in overrides}
-        sim = replace(cfg.sim, **sim_updates) if sim_updates else cfg.sim
-        top_updates = {}
-        for key in ("n", "box", "outputs", "gs_tol", "conc_pass_threshold", "conc_decade"):
-            if key in overrides:
-                top_updates[key] = overrides[key]
-        out.append(replace(cfg, sim=sim, **top_updates))
-    return out
+    plain, nested = _split({k: v for k, v in overrides.items() if k in _SUITE_KEYS})
+    return [
+        replace(cfg, **plain, **{k: replace(getattr(cfg, k), **kw) for k, kw in nested.items()})
+        for cfg in configs
+    ]
 
 
 def parse_suite_config_text(text: str) -> Dict[str, object]:

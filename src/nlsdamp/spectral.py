@@ -3,25 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "SamplingError",
     "ConfigurationError",
     "Grid",
     "ComplexField",
     "DampingProfile",
     "FieldNorms",
-    "sample",
-    "spectral_multiply",
     "norms",
 ]
-
-
-class SamplingError(ValueError):
-    """Raised when a sampled function produces a non-finite value."""
 
 
 class ConfigurationError(ValueError):
@@ -119,9 +112,6 @@ class ComplexField:
             )
         self.values = arr
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class DampingProfile:
@@ -136,7 +126,6 @@ class DampingProfile:
     values: np.ndarray
     gradient_values: Tuple[np.ndarray, ...]
     sup_norm: float = field(init=False)
-    grad_sup_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -153,8 +142,6 @@ class DampingProfile:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "gradient_values", grads)
         object.__setattr__(self, "sup_norm", float(np.max(np.abs(vals))))
-        grad_sq = sum(g * g for g in grads)
-        object.__setattr__(self, "grad_sup_norm", float(np.sqrt(np.max(grad_sq))))
 
     @classmethod
     def zero(cls, grid: Grid) -> "DampingProfile":
@@ -166,20 +153,6 @@ class DampingProfile:
         vals = np.full(grid.shape, float(amplitude))
         return cls(grid, vals, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
 
-    @classmethod
-    def from_callables(
-        cls,
-        grid: Grid,
-        fn: Callable[..., np.ndarray],
-        grad_fns: Sequence[Callable[..., np.ndarray]],
-    ) -> "DampingProfile":
-        vals = np.broadcast_to(np.asarray(fn(*grid.coords), dtype=np.float64), grid.shape)
-        grads = tuple(
-            np.broadcast_to(np.asarray(g(*grid.coords), dtype=np.float64), grid.shape).copy()
-            for g in grad_fns
-        )
-        return cls(grid, vals.copy(), grads)
-
 
 @dataclass(frozen=True)
 class FieldNorms:
@@ -190,34 +163,6 @@ class FieldNorms:
     lp_power: float
 
 
-def sample(grid: Grid, f: Callable[..., np.ndarray]) -> ComplexField:
-    """Sample a pointwise function of position onto the grid.
-
-    `f` receives one coordinate array per axis and must evaluate vectorized;
-    scalar returns are broadcast. A non-finite value anywhere is an error
-    naming the offending point.
-    """
-    raw = np.broadcast_to(np.asarray(f(*grid.coords), dtype=np.complex128), grid.shape)
-    bad = ~np.isfinite(raw.real) | ~np.isfinite(raw.imag)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        point = tuple(float(c[idx]) for c in grid.coords)
-        raise SamplingError(f"sampled function is not finite at x = {point}")
-    return ComplexField(grid, raw.copy())
-
-
-def spectral_multiply(field_: ComplexField, symbol: Callable[..., np.ndarray]) -> ComplexField:
-    """Apply a Fourier multiplier: inverse FFT of symbol(k) times the FFT.
-
-    `symbol` receives one wavenumber array per axis; scalar returns are
-    broadcast (symbol ≡ 1 is the identity up to round-off).
-    """
-    g = field_.grid
-    sym = np.broadcast_to(np.asarray(symbol(*g.k_mesh), dtype=np.complex128), g.shape)
-    out = np.fft.ifftn(sym * np.fft.fftn(field_.values))
-    return ComplexField(g, out)
-
-
 def norms(field_: ComplexField) -> FieldNorms:
     """Mass, gradient, and power integrals of a field.
 
@@ -226,12 +171,10 @@ def norms(field_: ComplexField) -> FieldNorms:
     space.
     """
     g = field_.grid
-    vol = g.cell_volume
     vals = field_.values
     abs2 = vals.real**2 + vals.imag**2
-    mass_sq = float(abs2.sum() * vol)
     spec2 = np.abs(np.fft.fftn(vals)) ** 2
-    grad_sq = float((g.k2 * spec2).sum() * vol / g.size)
     p = 4.0 / g.dim + 2.0
-    lp_power = float((abs2 ** (p / 2.0)).sum() * vol)
-    return FieldNorms(mass_sq, grad_sq, lp_power)
+    return FieldNorms(
+        g.integrate(abs2), g.integrate(g.k2 * spec2) / g.size, g.integrate(abs2 ** (p / 2.0))
+    )

@@ -3,7 +3,8 @@
 The harness under perfbench/ wraps named functions of the package and reads
 the per-layer metrics from the spans they make. A metric drops out of its
 result when a hooked name disappears or a span is never opened, so this runs
-its probe once, as the benchmark does, and checks that nothing is missing.
+its probe as the benchmark does, once on `evolve` and once on `suite`, and
+checks that nothing is missing.
 """
 
 import json
@@ -33,17 +34,23 @@ record_every = 5
 outputs = outputs
 """
 
+# A short catalog: every entry at N = 256 over 50 steps.
+SUITE_CONFIG = """\
+n = 256
+t_end = 0.05
+record_every = 5
+"""
 
-def test_traced_probe_reports_every_layer_metric(tmp_path):
-    (tmp_path / "run.cfg").write_text(RUN_CONFIG)
+
+def _check_traced_probe(tmp_path, argv, config):
+    (tmp_path / argv[-1]).write_text(config)
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     result_path = tmp_path / "probe.json"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "probe.py"), str(result_path), "1",
-         "evolve", "--config", "run.cfg"],
+        [sys.executable, str(ROOT / "perfbench" / "probe.py"), str(result_path), "1", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -55,3 +62,11 @@ def test_traced_probe_reports_every_layer_metric(tmp_path):
     layers = probe["layers"]
     assert sorted(wanted - set(layers)) == []
     assert {name: layers[name] for name in wanted if not math.isfinite(layers[name])} == {}
+
+
+def test_traced_probe_reports_every_layer_metric(tmp_path):
+    _check_traced_probe(tmp_path, ["evolve", "--config", "run.cfg"], RUN_CONFIG)
+
+
+def test_traced_suite_probe_reports_every_layer_metric(tmp_path):
+    _check_traced_probe(tmp_path, ["suite", "--config", "suite.cfg"], SUITE_CONFIG)

@@ -75,6 +75,8 @@ def test_evolve_unknown_key_is_exit_2(tmp_path, capsys):
     [
         ("n = 256", "n = 100"),
         ("dt0 = 1e-3", "dt0 = 1e-9"),
+        ("dt0 = 1e-3", "dt0 = inf"),
+        ("t_end = 0.05", "t_end = inf"),
         ("id = cli_demo", "id = ../esc"),
         ("id = cli_demo", "id = a/b"),
     ],
@@ -83,6 +85,44 @@ def test_evolve_invalid_value_is_exit_2(tmp_path, capsys, old, new):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(EVOLVE_CONFIG.format(out=tmp_path / "out" / "x").replace(old, new))
     code = main(["evolve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["conc_decade = 0", "conc_decade = 1", "conc_decade = inf",
+     "conc_pass_threshold = 0", "conc_pass_threshold = nan"],
+)
+def test_evolve_bad_concentration_setting_is_exit_2(tmp_path, capsys, line):
+    # A collapsing run, so that an accepted setting would reach the concentration check.
+    text = EVOLVE_CONFIG.format(out=tmp_path / "out")
+    text = text.replace("damping = gaussian_bump", "damping = zero")
+    text = text.replace("t_end = 0.05", "t_end = 10.0")
+    text = text.replace("initial_data = gaussian", "initial_data = scaled_ground_state")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text + "initial_scale = 1.2\n" + line + "\n")
+    code = main(["evolve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {line.split()[0]} must be finite and ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "suite"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_is_exit_2(tmp_path, capsys, monkeypatch, command, kind):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.cfg"
+    if kind == "directory":
+        cfg_path.mkdir()
+    else:
+        cfg_path.write_bytes(b"t_end = 1.0\n# \xff\xfe\n")
+    code = main([command, "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error: ")

@@ -15,14 +15,13 @@ from nlsdamp import (
     StopReason,
     evolve,
     norms,
-    sample,
     strang_step,
 )
 from nlsdamp.evolution import (
     BOUNDARY_MASS_LIMIT,
-    choose_dt,
-    linear_substep,
-    nonlinear_damping_substep,
+    _dt_from_grad,
+    _spectral_norms,
+    _StrangKernel,
 )
 
 TOL = {
@@ -36,7 +35,7 @@ TOL = {
     "reversible_damped": 1e-10,
     "soliton_t1": 3e-5,
     "mass_decay": 1e-12,
-    "choose_dt": 1e-12,
+    "dt_from_grad": 1e-12,
 }
 
 # Phase rate of the unit-amplitude kick at a = ln2/dt in one dimension:
@@ -45,13 +44,28 @@ KICK_PHASE_RATE = 0.3381316502083508
 
 
 def _gaussian_field(grid):
-    return sample(grid, lambda *cs: np.exp(-0.5 * sum(c * c for c in cs)))
+    return ComplexField(grid, np.exp(-0.5 * sum(c * c for c in grid.coords)))
 
 
-def test_linear_substep_free_dispersion():
+def _bump(grid, amp, s2):
+    x = grid.axis
+    vals = amp * np.exp(-x * x / (2.0 * s2))
+    return DampingProfile(grid, vals, (-(x / s2) * vals,))
+
+
+def _kicked(field_, a, dt):
+    """The kernel's damping kick of a copy of the field over dt."""
+    u = field_.values.copy()
+    _StrangKernel(field_.grid, a).kick(u, dt)
+    return ComplexField(field_.grid, u)
+
+
+def test_phase_free_dispersion():
     # exp(-x^2/2) spreads so that |u(1/2, 0)|^2 = 2^(-1/2) under the free flow.
     g = Grid(1, 256, 20.0)
-    out = linear_substep(_gaussian_field(g), 0.5)
+    u_hat = np.fft.fft(_gaussian_field(g).values)
+    _StrangKernel(g).phase(u_hat, 0.5)
+    out = ComplexField(g, np.fft.ifft(u_hat))
     center = g.points_per_axis // 2
     assert g.axis[center] == 0.0
     value = abs(out.values[center]) ** 2
@@ -62,7 +76,7 @@ def test_linear_substep_free_dispersion():
 def test_strang_step_zero_dt_is_identity():
     g = Grid(1, 128, 10.0)
     f = _gaussian_field(g)
-    state = EvolutionState(0.0, f.copy())
+    state = EvolutionState(0.0, _gaussian_field(g))
     out = strang_step(state, DampingProfile.zero(g), 0.0)
     assert out.time == 0.0
     assert out.step_count == 1
@@ -74,7 +88,7 @@ def test_kick_halves_amplitude_at_log2_rate():
     ones = ComplexField(g, np.ones(g.shape))
     dt = 0.25
     a = DampingProfile.constant(g, math.log(2.0) / dt)
-    out = nonlinear_damping_substep(ones, a, dt)
+    out = _kicked(ones, a, dt)
     amp = np.abs(out.values)
     phase = np.angle(out.values)
     assert np.max(np.abs(amp - 0.5)) < TOL["kick_amplitude"]
@@ -85,7 +99,7 @@ def test_kick_zero_damping_pure_rotation():
     g = Grid(1, 64, 10.0)
     ones = ComplexField(g, np.ones(g.shape))
     dt = 0.3
-    out = nonlinear_damping_substep(ones, DampingProfile.zero(g), dt)
+    out = _kicked(ones, DampingProfile.zero(g), dt)
     assert np.max(np.abs(np.abs(out.values) - 1.0)) < 1e-14
     assert np.max(np.abs(np.angle(out.values) - dt)) < 1e-14
 
@@ -99,7 +113,7 @@ def test_kick_branch_seam():
     g = Grid(1, 16, 10.0)
     ones = ComplexField(g, np.ones(g.shape))
     for adt in (0.99e-6, 1.01e-6):
-        out = nonlinear_damping_substep(ones, DampingProfile.constant(g, adt), 1.0)
+        out = _kicked(ones, DampingProfile.constant(g, adt), 1.0)
         z = 4.0 * adt
         expected = -math.expm1(-z) / z
         assert np.max(np.abs(np.angle(out.values) - expected)) < TOL["branch_seam"]
@@ -110,17 +124,12 @@ def test_strang_step_reversible():
     f = _gaussian_field(g)
     dt = 1e-2
     zero = DampingProfile.zero(g)
-    fwd = strang_step(EvolutionState(0.0, f.copy()), zero, dt)
+    fwd = strang_step(EvolutionState(0.0, _gaussian_field(g)), zero, dt)
     back = strang_step(fwd, zero, -dt)
     assert np.max(np.abs(back.field.values - f.values)) < TOL["reversible_free"]
 
-    s2 = 4.0
-    bump = DampingProfile.from_callables(
-        g,
-        lambda x: 0.8 * np.exp(-x * x / (2.0 * s2)),
-        [lambda x: -0.8 * (x / s2) * np.exp(-x * x / (2.0 * s2))],
-    )
-    fwd = strang_step(EvolutionState(0.0, f.copy()), bump, dt)
+    bump = _bump(g, 0.8, 4.0)
+    fwd = strang_step(EvolutionState(0.0, _gaussian_field(g)), bump, dt)
     back = strang_step(fwd, bump, -dt)
     assert np.max(np.abs(back.field.values - f.values)) < TOL["reversible_damped"]
 
@@ -155,21 +164,22 @@ def test_constant_damping_exact_mass_decay(gs_1d):
     assert abs(norms(state.field).mass_sq - expected) < TOL["mass_decay"] * m0
 
 
-def test_choose_dt_arithmetic():
+def test_dt_from_grad_arithmetic():
     g = Grid(1, 128, 10.0)
     k0 = g.wavenumbers[16]
-    mode = sample(g, lambda x: np.exp(1j * k0 * x))
+    mode = ComplexField(g, np.exp(1j * k0 * g.axis))
     grad_sq = norms(mode).grad_sq
     assert grad_sq == pytest.approx(k0 * k0 * 2.0 * g.half_width, rel=1e-12)
-    state = EvolutionState(0.0, mode)
+    # The step rule reads ‖∇u‖² from the spectrum, as evolve does.
+    spectral_grad_sq = _spectral_norms(np.fft.fft(mode.values), g)[1]
     mid = SimConfig(dt0=0.1, t_end=1.0, adapt_const=0.01 * grad_sq, dt_min=1e-9)
-    assert choose_dt(state, mid) == pytest.approx(0.01, rel=TOL["choose_dt"])
+    assert _dt_from_grad(spectral_grad_sq, mid) == pytest.approx(0.01, rel=TOL["dt_from_grad"])
     high = SimConfig(dt0=0.1, t_end=1.0, adapt_const=10.0 * grad_sq, dt_min=1e-9)
-    assert choose_dt(state, high) == 0.1
+    assert _dt_from_grad(spectral_grad_sq, high) == 0.1
     low = SimConfig(dt0=0.1, t_end=1.0, adapt_const=1e-10 * grad_sq, dt_min=1e-9)
-    assert choose_dt(state, low) == 1e-9
-    zero = EvolutionState(0.0, ComplexField(g, np.zeros(g.shape)))
-    assert choose_dt(zero, mid) == mid.dt0
+    assert _dt_from_grad(spectral_grad_sq, low) == 1e-9
+    zero_grad_sq = _spectral_norms(np.zeros(g.shape, dtype=np.complex128), g)[1]
+    assert _dt_from_grad(zero_grad_sq, mid) == mid.dt0
 
 
 def test_simconfig_validation():
@@ -255,12 +265,7 @@ def test_evolve_collapse_detection(gs_1d):
 
 def test_evolve_repeat_runs_bitwise_identical():
     g = Grid(1, 128, 10.0)
-    s2 = 1.0
-    bump = DampingProfile.from_callables(
-        g,
-        lambda x: np.exp(-x * x / (2.0 * s2)),
-        [lambda x: -(x / s2) * np.exp(-x * x / (2.0 * s2))],
-    )
+    bump = _bump(g, 1.0, 1.0)
     cfg = SimConfig(dt0=1e-3, t_end=0.03, record_every=10)
 
     def run():
@@ -287,7 +292,8 @@ def test_boundary_flag_raised_between_record_points():
     # crossing the periodic edge x = ±L in between. Only t = 0 and the stop
     # are recorded, and both hold far less than the limit near the edge.
     g = Grid(1, 256, 10.0)
-    u0 = sample(g, lambda x: 0.1 * np.exp(-0.5 * (x - 4.0) ** 2 + 15j * x))
+    x = g.axis
+    u0 = ComplexField(g, 0.1 * np.exp(-0.5 * (x - 4.0) ** 2 + 15j * x))
     cfg = SimConfig(dt0=1e-3, t_end=0.4, record_every=1000)
     snapshots = []
     report = evolve(u0, DampingProfile.zero(g), cfg,

@@ -43,7 +43,7 @@ def test_evolve_matches_unmerged_strang_steps(seed, dim, amplitude, damping, ste
     assert report.stop_reason is StopReason.HORIZON_REACHED
     assert snapshots[-1].step_count == steps
 
-    state = EvolutionState(0.0, u0.copy())
+    state = EvolutionState(0.0, u0)
     for _ in range(steps):
         state = strang_step(state, a, dt)
     ref = state.field.values

@@ -1,15 +1,16 @@
 """Config parsing, field builders, claim-check gating, and the run catalog."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nlsdamp import (
     BlowupReport,
-    ComplexField,
     ConfigurationError,
     DampingProfile,
     DampingSpec,
@@ -25,15 +26,16 @@ from nlsdamp import (
     ensure_ground_state,
     norms,
     run_scenario,
-    spectral_multiply,
 )
-from nlsdamp.diagnostics import DiagnosticsRow, csv_header, fixed_window_rule
+from nlsdamp.diagnostics import DiagnosticsRow, csv_header
 from nlsdamp.evolution import EvolutionState
 from nlsdamp.scenarios import (
     STATUS_FAIL,
     STATUS_INCONCLUSIVE,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    _SCENARIO_KEYS,
+    _SUITE_KEYS,
     apply_suite_overrides,
     check_blowup_time_bound,
     check_concentration,
@@ -49,6 +51,45 @@ TOL = {
     "boosted_momentum": 1e-10,
     "outer_fraction": 1e-8,
 }
+
+# Every flat config key, the field it sets, and a value that differs from
+# both the default and every catalog entry's value.
+FLAT_KEYS = {
+    "id": ("scenario_id", "roundtrip"),
+    "dim": ("dim", 2),
+    "n": ("n", 64),
+    "box": ("box", 12.5),
+    "initial_data": ("initial.kind", "gaussian"),
+    "initial_scale": ("initial.scale", 0.75),
+    "initial_amplitude": ("initial.amplitude", 1.5),
+    "initial_width": ("initial.width", 2.5),
+    "initial_velocity": ("initial.velocity", 0.25),
+    "damping": ("damping.kind", "cosine"),
+    "damping_amplitude": ("damping.amplitude", 0.5),
+    "damping_sigma": ("damping.sigma", 3.0),
+    "damping_wavelength": ("damping.wavelength", 5.0),
+    "dt0": ("sim.dt0", 2e-3),
+    "t_end": ("sim.t_end", 3.0),
+    "adapt_const": ("sim.adapt_const", 2e-2),
+    "dt_min": ("sim.dt_min", 1e-8),
+    "tail_threshold": ("sim.tail_threshold", 1e-3),
+    "record_every": ("sim.record_every", 7),
+    "blowup_grad_ratio": ("sim.blowup_grad_ratio", 5.0),
+    "outputs": ("outputs", "elsewhere"),
+    "gs_tol": ("gs_tol", 1e-9),
+    "conc_pass_threshold": ("conc_pass_threshold", 0.8),
+    "conc_decade": ("conc_decade", 20.0),
+}
+SUITE_KEYS = {"n", "box", "dt0", "t_end", "adapt_const", "dt_min", "tail_threshold",
+              "record_every", "blowup_grad_ratio", "outputs", "gs_tol",
+              "conc_pass_threshold", "conc_decade"}
+
+
+def _field(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
 
 CATALOG_IDS = [
     "global_bump_0p5",
@@ -139,6 +180,29 @@ def test_scenario_config_from_dict_defaults_and_leftovers():
         scenario_config_from_dict({"dim": 1, "mystery": 2})
 
 
+def test_schema_round_trips_every_key():
+    assert list(_SCENARIO_KEYS) == list(FLAT_KEYS)
+    assert set(_SUITE_KEYS) == SUITE_KEYS
+    text = "".join(f"{key} = {value}\n" for key, (_, value) in FLAT_KEYS.items())
+    cfg = scenario_config_from_dict(parse_config_text(text))
+    default = scenario_config_from_dict({}, default_id="default")
+    for key, (path, value) in FLAT_KEYS.items():
+        assert _field(cfg, path) == value, key
+        assert type(_field(cfg, path)) is type(value), key
+        assert _field(default, path) != value, key
+
+
+def test_readme_key_table_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \| (yes)? *\|", readme, flags=re.M)
+    assert [key for key, _, _ in rows] == list(_SCENARIO_KEYS)
+    assert {key for key, _, suite in rows if suite} == set(_SUITE_KEYS)
+    default = scenario_config_from_dict({}, default_id="default")
+    for key, shown, _ in rows:
+        if shown.startswith("`"):
+            assert shown == f"`{_field(default, FLAT_KEYS[key][0])}`", key
+
+
 def test_spec_kind_validation():
     with pytest.raises(ConfigurationError):
         InitialSpec("vortex")
@@ -172,8 +236,8 @@ def test_build_damping_kinds_and_gradients():
     ):
         prof = build_damping(grid, spec)
         assert prof.sup_norm == pytest.approx(spec.sup_norm, rel=1e-12)
-        spectral = spectral_multiply(ComplexField(grid, prof.values), lambda k: 1j * k)
-        err = np.max(np.abs(spectral.values.real - prof.gradient_values[0]))
+        spectral = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(prof.values))
+        err = np.max(np.abs(spectral.real - prof.gradient_values[0]))
         assert err < TOL["damping_gradient"]
     neg = build_damping(grid, DampingSpec("negative_bump", amplitude=1.0, sigma=2.0))
     assert float(np.min(neg.values)) == pytest.approx(-1.0, abs=1e-14)
@@ -201,7 +265,7 @@ def test_build_initial_scaled_and_boosted(gs_1d):
     )
     assert norms(boosted).mass_sq == pytest.approx(gs_1d.mass_sq, rel=1e-12)
     row = compute_row(EvolutionState(0.0, boosted), DampingProfile.zero(grid),
-                      fixed_window_rule(1.0))
+                      lambda _: 1.0)
     assert row.momentum[0] == pytest.approx(v * gs_1d.mass_sq,
                                             rel=TOL["boosted_momentum"])
 
@@ -488,6 +552,15 @@ def test_apply_suite_overrides():
         assert c.outputs == "elsewhere"
         assert c.sim.blowup_grad_ratio == 6.0
         assert c.sim.dt0 == 1e-3
+    # Every suite key reaches every entry, and nothing else changes.
+    overrides = {key: FLAT_KEYS[key][1] for key in SUITE_KEYS}
+    for before, after in zip(catalog(), apply_suite_overrides(catalog(), overrides)):
+        for key in SUITE_KEYS:
+            path, value = FLAT_KEYS[key]
+            assert _field(before, path) != value, (before.scenario_id, key)
+            assert _field(after, path) == value, (before.scenario_id, key)
+        for path in ("scenario_id", "dim", "initial", "damping"):
+            assert _field(after, path) == _field(before, path), (before.scenario_id, path)
 
 
 def test_suite_results_and_summary(catalog_results):

@@ -1,4 +1,4 @@
-"""Grid construction, sampling, Fourier multipliers, and the integral norms."""
+"""Grid construction, fields, Fourier multipliers, and the integral norms."""
 
 import math
 
@@ -9,11 +9,8 @@ from nlsdamp import (
     ComplexField,
     DampingProfile,
     Grid,
-    SamplingError,
     closed_form_q_1d,
     norms,
-    sample,
-    spectral_multiply,
 )
 
 TOL = {
@@ -29,6 +26,11 @@ TOL = {
 Q_MASS_SQ = math.pi * math.sqrt(3.0) / 2.0
 Q_GRAD_SQ = math.pi * math.sqrt(3.0) / 4.0
 Q_LP = 3.0 * math.pi * math.sqrt(3.0) / 4.0
+
+
+def _multiply(grid, values, symbol):
+    """Fourier multiplier: inverse FFT of symbol(k) times the FFT."""
+    return np.fft.ifftn(symbol(*grid.k_mesh) * np.fft.fftn(values))
 
 
 def test_grid_layout():
@@ -78,54 +80,34 @@ def test_same_layout():
     assert not a.same_layout(c)
 
 
-def test_sample_constant_and_mode():
-    g = Grid(1, 64, 10.0)
-    ones = sample(g, lambda x: 1.0)
-    assert np.all(ones.values == 1.0 + 0.0j)
-    k = g.wavenumbers[3]
-    mode = sample(g, lambda x: np.exp(1j * k * x))
-    assert np.max(np.abs(np.abs(mode.values) - 1.0)) < 1e-14
-
-
-def test_sample_nonfinite_names_the_point():
-    g = Grid(1, 64, 10.0)
-    with np.errstate(divide="ignore"):
-        with pytest.raises(SamplingError, match="not finite"):
-            sample(g, lambda x: 1.0 / x)
-
-
 def test_complex_field_validation():
     g = Grid(1, 16, 2.0)
     with pytest.raises(ValueError):
         ComplexField(g, np.zeros(8))
     f = ComplexField(g, np.arange(16))
     assert f.values.dtype == np.complex128
-    c = f.copy()
-    c.values[0] = 5.0
-    assert f.values[0] == 0.0
 
 
 def test_multiplier_identity_roundtrip():
     g = Grid(1, 256, 20.0)
-    f = sample(g, lambda x: np.exp(-0.5 * x * x) * (1.0 + 0.3j))
-    out = spectral_multiply(f, lambda k: 1.0)
-    assert np.max(np.abs(out.values - f.values)) < TOL["roundtrip"]
+    f = np.exp(-0.5 * g.axis * g.axis) * (1.0 + 0.3j)
+    out = _multiply(g, f, lambda k: 1.0)
+    assert np.max(np.abs(out - f)) < TOL["roundtrip"]
 
 
 def test_multiplier_eigenmode():
     g = Grid(1, 64, 10.0)
     k0 = g.wavenumbers[5]
-    f = sample(g, lambda x: np.exp(1j * k0 * x))
-    out = spectral_multiply(f, lambda k: -(k**2))
-    assert np.max(np.abs(out.values + k0 * k0 * f.values)) < TOL["eigenmode"] * k0 * k0
+    f = np.exp(1j * k0 * g.axis)
+    out = _multiply(g, f, lambda k: -(k**2))
+    assert np.max(np.abs(out + k0 * k0 * f)) < TOL["eigenmode"] * k0 * k0
 
 
 def test_multiplier_derivative_of_gaussian():
     g = Grid(1, 256, 20.0)
-    f = sample(g, lambda x: np.exp(-0.5 * x * x))
-    out = spectral_multiply(f, lambda k: 1j * k)
+    out = _multiply(g, np.exp(-0.5 * g.axis * g.axis), lambda k: 1j * k)
     exact = -g.axis * np.exp(-0.5 * g.axis * g.axis)
-    assert np.max(np.abs(out.values - exact)) < TOL["derivative"]
+    assert np.max(np.abs(out - exact)) < TOL["derivative"]
 
 
 def test_rectangle_rule_exact_for_trig():
@@ -137,7 +119,7 @@ def test_rectangle_rule_exact_for_trig():
 def test_norms_gaussian_closed_forms():
     # u = exp(-x^2/2): mass sqrt(pi), gradient sqrt(pi)/2, sextic sqrt(pi/3)
     g = Grid(1, 256, 20.0)
-    f = sample(g, lambda x: np.exp(-0.5 * x * x))
+    f = ComplexField(g, np.exp(-0.5 * g.axis * g.axis))
     nm = norms(f)
     assert abs(nm.mass_sq - math.sqrt(math.pi)) < TOL["plancherel"]
     assert abs(nm.grad_sq - 0.5 * math.sqrt(math.pi)) < TOL["plancherel"]
@@ -158,7 +140,8 @@ def test_norms_closed_form_profile():
 def test_norms_2d_lp_exponent():
     # d = 2 uses |u|^4: for exp(-r^2/2) that integral is pi/2
     g = Grid(2, 64, 10.0)
-    f = sample(g, lambda x, y: np.exp(-0.5 * (x * x + y * y)))
+    x, y = g.coords
+    f = ComplexField(g, np.exp(-0.5 * (x * x + y * y)))
     nm = norms(f)
     assert abs(nm.mass_sq - math.pi) < 1e-10
     assert abs(nm.lp_power - math.pi / 2.0) < 1e-10
@@ -168,24 +151,20 @@ def test_damping_profile_constant_and_zero():
     g = Grid(1, 64, 10.0)
     z = DampingProfile.zero(g)
     assert z.sup_norm == 0.0
-    assert z.grad_sup_norm == 0.0
     c = DampingProfile.constant(g, -0.7)
     assert c.sup_norm == 0.7
-    assert c.grad_sup_norm == 0.0
     assert np.all(c.values == -0.7)
 
 
 def test_damping_profile_gradient_consistency():
     g = Grid(1, 256, 20.0)
     s2 = 4.0
-    prof = DampingProfile.from_callables(
-        g,
-        lambda x: np.exp(-x * x / (2.0 * s2)),
-        [lambda x: -(x / s2) * np.exp(-x * x / (2.0 * s2))],
-    )
+    x = g.axis
+    vals = np.exp(-x * x / (2.0 * s2))
+    prof = DampingProfile(g, vals, (-(x / s2) * vals,))
     assert prof.sup_norm == pytest.approx(1.0, abs=1e-14)
-    spectral = spectral_multiply(ComplexField(g, prof.values), lambda k: 1j * k)
-    assert np.max(np.abs(spectral.values.real - prof.gradient_values[0])) < TOL["damping_gradient"]
+    spectral = _multiply(g, prof.values, lambda k: 1j * k)
+    assert np.max(np.abs(spectral.real - prof.gradient_values[0])) < TOL["damping_gradient"]
 
 
 def test_damping_profile_validation():
