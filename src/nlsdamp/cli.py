@@ -151,6 +151,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_gn_check(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     grid = Grid(args.dim, args.n, args.box)
     gs_obj = ensure_ground_state(args.dim, args.n, args.box, 1e-10)
     optimal = sharp_gn_constant(args.dim, gs_obj.mass_sq)

@@ -4,12 +4,12 @@ concentration, and the sharp interpolation-inequality functional."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, List, Sequence, Tuple, get_origin, get_type_hints
 
 import numpy as np
 
-from .evolution import EvolutionState
+from .evolution import EvolutionState, _spectral_norms
 from .reporting import format_float
 from .spectral import ComplexField, DampingProfile, norms
 
@@ -58,12 +58,17 @@ def gradient_window_rule(ref_grad_sq: float, w0: float = 1.0) -> WindowRule:
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
-    """One recorded snapshot of the conserved-quantity ledger."""
+    """One recorded snapshot of the conserved-quantity ledger.
 
-    time: float
+    The fields, in order, are the rows.csv columns. Metadata "csv" names a
+    column that differs from its field; a tuple field holds one value per
+    axis and gives the columns `<name>_1` … `<name>_d`.
+    """
+
+    time: float = field(metadata={"csv": "t"})
     mass_sq: float
     energy: float
-    momentum: Tuple[float, ...]
+    momentum: Tuple[float, ...] = field(metadata={"csv": "p"})
     grad_sq: float
     lp_power: float
     h_value: float
@@ -71,10 +76,16 @@ class DiagnosticsRow:
     int_a_grad2: float
     int_a_lp: float
     re_grad_a_term: float
+    int_a_im_grad: Tuple[float, ...]
     dt_used: float
     tail_fraction: float
-    concentration_mass: float
-    window_radius: float
+    concentration_mass: float = field(metadata={"csv": "conc_mass"})
+    window_radius: float = field(metadata={"csv": "window_w"})
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Σ x·y over the grid, as one dot product."""
+    return float(np.dot(x.ravel(), y.ravel()))
 
 
 def compute_row(
@@ -89,31 +100,38 @@ def compute_row(
     Energy is E = (1/2)∫|∇u|² - d/(4+2d) ∫|u|^(4/d+2); momentum components
     are P_j = Im ∫ (∂_j u) ū; the dissipation functional is
     H = -∫a|∇u|² + ∫a|u|^(4/d+2) - Re ∫ (∇u·∇a) ū, so that dE/dt = H.
-    The four damping-weighted integrals are stored so balance residuals can
-    be formed from rows alone, without re-simulation.
+    The damping-weighted integrals, ∫a Im((∂_j u) ū) among them, are stored
+    so that the mass, energy and momentum balance residuals are formed from
+    rows alone, without re-simulation. The spectrum û is taken from the
+    state when it carries one, and transformed from the field otherwise.
     """
     g = state.field.grid
     d = g.dim
+    vol = g.cell_volume
     vals = state.field.values
     abs2 = vals.real**2 + vals.imag**2
     mass_sq = g.integrate(abs2)
-    u_hat = np.fft.fftn(vals)
-    spec2 = u_hat.real**2 + u_hat.imag**2
-    grad_sq = g.integrate(g.k2 * spec2) / g.size
+    u_hat = state.spectrum if state.spectrum is not None else np.fft.fftn(vals)
+    _, grad_sq, _ = _spectral_norms(u_hat, g)
     p = 4.0 / d + 2.0
     absp = abs2 ** (p / 2.0)
     lp_power = g.integrate(absp)
     energy = 0.5 * grad_sq - d / (4.0 + 2.0 * d) * lp_power
-    grads = [np.fft.ifftn(1j * k * u_hat) for k in g.k_mesh]
     conj_v = vals.conj()
-    momentum = tuple(g.integrate((gj * conj_v).imag) for gj in grads)
-    grad_abs2 = sum(gj.real**2 + gj.imag**2 for gj in grads)
-    int_a_u2 = g.integrate(a.values * abs2)
-    int_a_grad2 = g.integrate(a.values * grad_abs2)
-    int_a_lp = g.integrate(a.values * absp)
-    re_grad_a_term = g.integrate(
-        sum(((gj * conj_v).real * ga).sum() for gj, ga in zip(grads, a.gradient_values))
-    )
+    momentum, int_a_im_grad = [], []
+    a_grad2 = re_grad_a = 0.0
+    # One axis at a time, so at most one gradient component is held.
+    for k, ga in zip(g.k_mesh, a.gradient_values):
+        gj = np.fft.ifftn(1j * k * u_hat)
+        flux = gj * conj_v  # (∂_j u) ū
+        momentum.append(g.integrate(flux.imag))
+        int_a_im_grad.append(_dot(a.values, flux.imag) * vol)
+        a_grad2 += _dot(a.values, gj.real**2 + gj.imag**2)
+        re_grad_a += _dot(flux.real, ga)
+    int_a_u2 = _dot(a.values, abs2) * vol
+    int_a_grad2 = a_grad2 * vol
+    int_a_lp = _dot(a.values, absp) * vol
+    re_grad_a_term = re_grad_a * vol
     h_value = -int_a_grad2 + int_a_lp - re_grad_a_term
     if mass_sq == 0.0:
         window_radius = 0.0
@@ -132,7 +150,7 @@ def compute_row(
         time=state.time,
         mass_sq=mass_sq,
         energy=energy,
-        momentum=momentum,
+        momentum=tuple(momentum),
         grad_sq=grad_sq,
         lp_power=lp_power,
         h_value=h_value,
@@ -140,6 +158,7 @@ def compute_row(
         int_a_grad2=int_a_grad2,
         int_a_lp=int_a_lp,
         re_grad_a_term=re_grad_a_term,
+        int_a_im_grad=tuple(int_a_im_grad),
         dt_used=dt_used,
         tail_fraction=tail_fraction,
         concentration_mass=conc,
@@ -150,59 +169,42 @@ def compute_row(
 class TrajectoryRecorder:
     """Evolution sink that turns snapshots into diagnostics rows.
 
-    With store_fields=True the snapshot fields themselves are kept, which
-    the momentum balance needs (its damping integrand is not part of the
-    row schema).
+    Only the rows are kept, so memory grows by one row per snapshot.
     """
 
-    def __init__(self, a: DampingProfile, w_rule: WindowRule, store_fields: bool = False):
+    def __init__(self, a: DampingProfile, w_rule: WindowRule):
         self.a = a
         self.w_rule = w_rule
-        self.store_fields = store_fields
         self.rows: List[DiagnosticsRow] = []
-        self.fields: List[ComplexField] = []
 
     def __call__(self, state: EvolutionState, dt_used: float, tail_fraction: float) -> None:
         self.rows.append(compute_row(state, self.a, self.w_rule, dt_used, tail_fraction))
-        if self.store_fields:
-            self.fields.append(state.field)
+
+
+def _row_columns() -> Tuple[Tuple[str, str, bool], ...]:
+    """(field name, CSV name, one value per axis) for each DiagnosticsRow field."""
+    hints = get_type_hints(DiagnosticsRow)
+    return tuple(
+        (f.name, f.metadata.get("csv", f.name), get_origin(hints[f.name]) is tuple)
+        for f in fields(DiagnosticsRow)
+    )
+
+
+_ROW_COLUMNS = _row_columns()
 
 
 def csv_header(dim: int) -> str:
-    cols = ["t", "mass_sq", "energy"]
-    cols += [f"p_{j + 1}" for j in range(dim)]
-    cols += [
-        "grad_sq",
-        "lp_power",
-        "h_value",
-        "int_a_u2",
-        "int_a_grad2",
-        "int_a_lp",
-        "re_grad_a_term",
-        "dt_used",
-        "tail_fraction",
-        "conc_mass",
-        "window_w",
-    ]
+    cols: List[str] = []
+    for _, col, per_axis in _ROW_COLUMNS:
+        cols += [f"{col}_{j + 1}" for j in range(dim)] if per_axis else [col]
     return ",".join(cols)
 
 
 def csv_line(row: DiagnosticsRow, dim: int) -> str:
-    vals = [row.time, row.mass_sq, row.energy]
-    vals += [row.momentum[j] for j in range(dim)]
-    vals += [
-        row.grad_sq,
-        row.lp_power,
-        row.h_value,
-        row.int_a_u2,
-        row.int_a_grad2,
-        row.int_a_lp,
-        row.re_grad_a_term,
-        row.dt_used,
-        row.tail_fraction,
-        row.concentration_mass,
-        row.window_radius,
-    ]
+    vals: List[float] = []
+    for name, _, per_axis in _ROW_COLUMNS:
+        value = getattr(row, name)
+        vals += [value[j] for j in range(dim)] if per_axis else [value]
     return ",".join(format_float(v) for v in vals)
 
 
@@ -242,43 +244,24 @@ def energy_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
     return worst / scale
 
 
-def _momentum_damping_integrand(field_: ComplexField, a: DampingProfile) -> Tuple[float, ...]:
-    g = field_.grid
-    vol = g.cell_volume
-    u_hat = np.fft.fftn(field_.values)
-    conj_v = field_.values.conj()
-    out = []
-    for k in g.k_mesh:
-        gj = np.fft.ifftn(1j * k * u_hat)
-        out.append(float((a.values * (gj * conj_v).imag).sum() * vol))
-    return tuple(out)
-
-
-def momentum_balance_residual(
-    rows: Sequence[DiagnosticsRow],
-    a: DampingProfile,
-    fields: Sequence[ComplexField],
-) -> float:
+def momentum_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
     """Worst per-interval, per-component defect of dP/dt = -2 ∫a Im(∇u ū).
 
-    Needs the snapshot fields at row times; normalized by
+    Trapezoid rule in time over consecutive rows, normalized by
     mass_sq(0)·‖∇u₀‖ (or 1 when that degenerates to zero).
     """
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
-    if len(rows) != len(fields):
-        raise ValueError("rows and snapshot fields must align")
     scale = rows[0].mass_sq * math.sqrt(rows[0].grad_sq)
     if scale == 0.0:
         scale = 1.0
-    integrands = [_momentum_damping_integrand(f, a) for f in fields]
     dim = len(rows[0].momentum)
     worst = 0.0
-    for i in range(len(rows) - 1):
-        dt = rows[i + 1].time - rows[i].time
+    for r1, r2 in zip(rows, rows[1:]):
+        dt = r2.time - r1.time
         for j in range(dim):
-            integral = 0.5 * dt * (integrands[i][j] + integrands[i + 1][j])
-            defect = rows[i + 1].momentum[j] - rows[i].momentum[j] + 2.0 * integral
+            integral = 0.5 * dt * (r1.int_a_im_grad[j] + r2.int_a_im_grad[j])
+            defect = r2.momentum[j] - r1.momentum[j] + 2.0 * integral
             worst = max(worst, abs(defect))
     return worst / scale
 
@@ -323,16 +306,13 @@ class BalanceReport:
 def balance_report(
     rows: Sequence[DiagnosticsRow],
     a: DampingProfile,
-    fields: Optional[Sequence[ComplexField]] = None,
+    fields=None,  # unused: kept only so the benchmark's stored-field probe still attaches
 ) -> BalanceReport:
     env = mass_envelope_check(rows, a)
-    momentum = (
-        momentum_balance_residual(rows, a, fields) if fields is not None else math.nan
-    )
     return BalanceReport(
         mass_residual=mass_balance_residual(rows),
         energy_residual=energy_balance_residual(rows),
-        momentum_residual=momentum,
+        momentum_residual=momentum_balance_residual(rows),
         envelope_ok=env.ok,
         max_envelope_violation=max(0.0, -env.worst),
     )
@@ -347,21 +327,34 @@ class ConcentrationResult:
 def concentration_mass(field_: ComplexField, w: float) -> ConcentrationResult:
     """Largest windowed mass sup_y ∫_{|x-y|<=w} |u|² over grid-centered balls.
 
-    Evaluated for every center at once by circular convolution of |u|² with
-    the ball indicator (periodic distance). Ties resolve to the smallest
+    Evaluated for every center at once: the ball is the set of grid offsets
+    whose coordinate r² is at most w² (periodic distance). In 1-D that set
+    is one run of offsets, summed by a periodic prefix sum; for d ≥ 2 |u|² is
+    convolved with the ball indicator by FFT. Ties resolve to the smallest
     lexicographic grid index.
     """
     g = field_.grid
     if not (0.0 < w < g.half_width):
         raise ValueError(f"window radius must lie in (0, {g.half_width}), got {w}")
     r2 = sum(c * c for c in g.coords)
-    ball = np.fft.ifftshift((r2 <= w * w).astype(np.float64))
     vals = field_.values
     abs2 = vals.real**2 + vals.imag**2
-    windowed = np.fft.ifftn(np.fft.fftn(abs2) * np.fft.fftn(ball)).real * g.cell_volume
+    if g.dim == 1:
+        # Offsets lo..hi from the center index n/2; windowed[i] sums |u|² over
+        # i - hi .. i - lo, read off the prefix sums of |u|² extended periodically.
+        n = g.points_per_axis
+        inside = np.flatnonzero(r2 <= w * w)
+        lo, hi = int(inside[0]) - n // 2, int(inside[-1]) - n // 2
+        width = hi - lo + 1
+        extended = np.concatenate((abs2[n - hi:], abs2, abs2[: width - 1 - hi]))
+        sums = np.concatenate(([0.0], np.cumsum(extended)))
+        windowed = sums[width:] - sums[:n]
+    else:
+        ball = np.fft.ifftshift((r2 <= w * w).astype(np.float64))
+        windowed = np.fft.ifftn(np.fft.fftn(abs2) * np.fft.fftn(ball)).real
     idx = np.unravel_index(int(np.argmax(windowed)), g.shape)
     center = tuple(float(g.axis[i]) for i in idx)
-    return ConcentrationResult(float(windowed[idx]), center)
+    return ConcentrationResult(float(windowed[idx]) * g.cell_volume, center)
 
 
 def gn_ratio(field_: ComplexField) -> float:

@@ -78,11 +78,17 @@ class SimConfig:
 
 @dataclass
 class EvolutionState:
-    """Current time, field, and accepted-step count."""
+    """Current time, field, and accepted-step count.
+
+    `spectrum`, when set, is the FFT û of the field. `evolve` lends the
+    spectrum it steps: it is valid only during the sink call, because the
+    next step advances it in place. A sink that keeps it must copy it.
+    """
 
     time: float
     field: ComplexField
     step_count: int = 0
+    spectrum: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -250,9 +256,10 @@ def evolve(
     Stop conditions, in priority order: non-finite state values; spectral
     tail fraction (mass in the outer third of wavenumbers over total) above
     cfg.tail_threshold; dt floor engaged while ‖∇u‖² has grown a
-    million-fold; t >= t_end. The sink, when given, receives an immutable
-    snapshot (state, dt_used, tail_fraction) at t = 0, every
-    cfg.record_every accepted steps, and at the stop.
+    million-fold; t >= t_end. The sink, when given, receives a snapshot
+    (state, dt_used, tail_fraction) at t = 0, every cfg.record_every
+    accepted steps, and at the stop. The snapshot's field is its own; its
+    `spectrum` is the stepped û, lent for the call (see EvolutionState).
 
     The state carried from step to step is the spectrum û, and adjacent
     half phases are merged, so a step costs one inverse and one forward FFT.
@@ -292,7 +299,7 @@ def evolve(
             kernel.phase(u_hat, owed)
             owed = 0.0
             field_ = ComplexField(grid, kernel.ifft(u_hat))
-            sink(EvolutionState(t, field_, steps), last_dt, tail)
+            sink(EvolutionState(t, field_, steps, u_hat), last_dt, tail)
         emitted_step = steps
 
     while True:

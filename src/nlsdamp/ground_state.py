@@ -7,6 +7,7 @@ profile must satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,8 +116,8 @@ def solve_ground_state(
     Raises ConvergenceError if the iterate collapses toward zero or the
     residual fails to reach `tol` within `max_iter` iterations.
     """
-    if not tol > 0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     sigma = 4.0 / grid.dim

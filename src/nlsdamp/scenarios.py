@@ -148,6 +148,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"scenario id {self.scenario_id!r} must match {SCENARIO_ID_PATTERN.pattern}"
             )
+        if not (math.isfinite(self.gs_tol) and self.gs_tol > 0):
+            raise ConfigurationError(f"gs_tol must be finite and > 0, got {self.gs_tol}")
         if not (math.isfinite(self.conc_pass_threshold) and self.conc_pass_threshold > 0):
             raise ConfigurationError(
                 f"conc_pass_threshold must be finite and > 0, got {self.conc_pass_threshold}"
@@ -398,6 +400,9 @@ def ensure_ground_state(
     profile is solved again and the file overwritten.
     """
     grid = Grid(dim, n, box)
+    # Checked before the cache too, so that no file solved for it is read.
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be finite and > 0, got {tol}")
     path = None
     if cache_dir is not None:
         path = _cache_path(Path(cache_dir), dim, n, box, tol)
@@ -610,14 +615,14 @@ def run_scenario(
         raise ConfigurationError("supplied ground state does not match the scenario grid")
     u0 = build_initial(grid, cfg.initial, gs)
     outer_fraction = _initial_outer_mass_fraction(u0)
-    recorder = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq), store_fields=True)
+    recorder = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq))
     report = evolve(u0, a, cfg.sim, recorder, ref_grad_sq=gs.grad_sq)
     rows = recorder.rows
 
     unresolved_at_start = (
         report.stop_reason is StopReason.TAIL_UNRESOLVED and len(rows) <= 1
     )
-    balance = balance_report(rows, a, recorder.fields) if len(rows) >= 2 else None
+    balance = balance_report(rows, a) if len(rows) >= 2 else None
     checks: List[TheoremCheckReport] = []
     if not unresolved_at_start and rows:
         for check in (check_global_existence, check_blowup_time_bound, check_concentration):

@@ -87,7 +87,7 @@ class Grid:
 
     def integrate(self, values: np.ndarray) -> float:
         """Rectangle-rule integral of real samples over the box."""
-        return float(np.sum(values) * self.cell_volume)
+        return float(values.sum() * self.cell_volume)
 
     def same_layout(self, other: "Grid") -> bool:
         return (self.dim, self.points_per_axis, self.half_width) == (

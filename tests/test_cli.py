@@ -1,11 +1,13 @@
 """In-process checks of the command-line entry points."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from nlsdamp.cli import main
+from nlsdamp.scenarios import _cache_path, _save_ground_state, ensure_ground_state
 
 EVOLVE_CONFIG = """\
 id = cli_demo
@@ -195,6 +197,35 @@ def test_grid_arguments_invalid_is_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("stale_cache", [False, True])
+def test_ground_state_infinite_tol_is_exit_2(tmp_path, capsys, monkeypatch, stale_cache):
+    # An infinite tolerance would accept the first iterate and cache it. A
+    # cache file keyed by tol = inf, as earlier versions wrote, is not read.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    stale = []
+    if stale_cache:
+        gs = ensure_ground_state(1, 256, 10.0, 1e-10)
+        stale = [_cache_path(out / "gs_cache", 1, 256, 10.0, math.inf)]
+        _save_ground_state(stale[0], gs, math.inf)
+    code = main(["ground-state", "--dim", "1", "--n", "256", "--box", "10.0",
+                 "--tol", "inf", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "configuration error: tol must be finite and > 0, got inf\n"
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == stale
+
+
+def test_evolve_infinite_gs_tol_is_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(EVOLVE_CONFIG.format(out=tmp_path / "out") + "gs_tol = inf\n")
+    code = main(["evolve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "configuration error: gs_tol must be finite and > 0, got inf\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
 def test_ground_state_command_writes_profile(tmp_path, capsys):
     code = main(["ground-state", "--dim", "1", "--n", "256", "--box", "12.0",
                  "--out", str(tmp_path)])
@@ -240,6 +271,19 @@ def test_gn_check_small_sample(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "bound holds" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, least", [("--seed", "-1", 0), ("--samples", "0", 1), ("--samples", "-3", 1)]
+)
+def test_gn_check_bad_sampling_is_exit_2(tmp_path, capsys, monkeypatch, flag, value, least):
+    monkeypatch.chdir(tmp_path)
+    code = main(["gn-check", "--dim", "1", "--n", "64", "--box", "8.0", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"configuration error: {flag} must be >= {least}, got {value}\n"
+    assert "bound holds" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,7 +1,10 @@
 """Diagnostics rows, balance residuals, envelopes, windowed concentration,
 and the interpolation functional, each pinned by an independent oracle."""
 
+import csv
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,19 +17,24 @@ from nlsdamp import (
     SimConfig,
     TrajectoryRecorder,
     balance_report,
+    build_damping,
+    build_initial,
     closed_form_q_1d,
     compute_row,
     concentration_mass,
     energy_balance_residual,
+    ensure_ground_state,
     evolve,
     gn_ratio,
     gradient_window_rule,
+    load_scenario_config,
     mass_balance_residual,
     mass_envelope_check,
     momentum_balance_residual,
     norms,
     sharp_gn_constant,
 )
+from nlsdamp.cli import main
 from nlsdamp.diagnostics import (
     DiagnosticsRow,
     csv_header,
@@ -48,6 +56,10 @@ TOL = {
     "momentum_res_symmetric": 1e-10,
     "momentum_decay": 1e-6,
     "momentum_res_bump": 1e-5,
+    "momentum_law_gate": 1e-5,
+    "momentum_rows_match": 1e-12,
+    "momentum_column_vs_fields": 1e-12,
+    "row_growth_per_field": 0.25,
     "two_bump_rel": 1e-3,
     "big_window_fraction": 0.999,
     "gn_at_optimum": 1e-9,
@@ -68,9 +80,9 @@ def _bump_profile(grid, amp=1.0, s=2.0):
     )
 
 
-def _record(u0, a, gs, dt0=1e-3, t_end=0.5, record_every=5, store_fields=False):
+def _record(u0, a, gs, dt0=1e-3, t_end=0.5, record_every=5):
     cfg = SimConfig(dt0=dt0, t_end=t_end, adapt_const=1e-2, record_every=record_every)
-    rec = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq), store_fields=store_fields)
+    rec = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq))
     evolve(u0, a, cfg, rec)
     return rec
 
@@ -80,8 +92,8 @@ def _synthetic_row(time, mass_sq, energy=0.0, h_value=0.0, int_a_u2=0.0,
     return DiagnosticsRow(
         time=time, mass_sq=mass_sq, energy=energy, momentum=(0.0,),
         grad_sq=grad_sq, lp_power=0.0, h_value=h_value, int_a_u2=int_a_u2,
-        int_a_grad2=0.0, int_a_lp=0.0, re_grad_a_term=0.0, dt_used=0.0,
-        tail_fraction=0.0, concentration_mass=concentration_mass,
+        int_a_grad2=0.0, int_a_lp=0.0, re_grad_a_term=0.0, int_a_im_grad=(0.0,),
+        dt_used=0.0, tail_fraction=0.0, concentration_mass=concentration_mass,
         window_radius=window_radius,
     )
 
@@ -165,16 +177,16 @@ def test_row_zero_field():
 def test_csv_header_exact():
     assert csv_header(1) == (
         "t,mass_sq,energy,p_1,grad_sq,lp_power,h_value,int_a_u2,int_a_grad2,"
-        "int_a_lp,re_grad_a_term,dt_used,tail_fraction,conc_mass,window_w"
+        "int_a_lp,re_grad_a_term,int_a_im_grad_1,dt_used,tail_fraction,conc_mass,window_w"
     )
     assert csv_header(2).split(",")[3:5] == ["p_1", "p_2"]
-    assert len(csv_header(3).split(",")) == 17
+    assert len(csv_header(3).split(",")) == 20
 
 
 def test_csv_line_roundtrips_floats():
     row = _synthetic_row(0.5, 1.25, energy=-0.75, h_value=-1.0, int_a_u2=0.5)
     parts = csv_line(row, 1).split(",")
-    assert len(parts) == 15
+    assert len(parts) == 16
     assert float(parts[0]) == 0.5
     assert float(parts[1]) == 1.25
     assert float(parts[2]) == -0.75
@@ -209,9 +221,8 @@ def test_residuals_shrink_with_dt(gs_1d):
 
 
 def test_momentum_residual_symmetric(gs_1d):
-    rec = _record(gs_1d.field(), _bump_profile(gs_1d.grid), gs_1d,
-                  record_every=5, store_fields=True)
-    res = momentum_balance_residual(rec.rows, rec.a, rec.fields)
+    rec = _record(gs_1d.field(), _bump_profile(gs_1d.grid), gs_1d, record_every=5)
+    res = momentum_balance_residual(rec.rows)
     assert res < TOL["momentum_res_symmetric"]
 
 
@@ -235,19 +246,98 @@ def test_momentum_residual_boosted_bump(gs_1d):
     g = gs_1d.grid
     k0 = g.wavenumbers[8]
     u0 = ComplexField(g, 0.9 * gs_1d.profile * np.exp(1j * k0 * g.axis))
-    rec = _record(u0, _bump_profile(g), gs_1d, t_end=0.25, record_every=2,
-                  store_fields=True)
-    res = momentum_balance_residual(rec.rows, rec.a, rec.fields)
+    rec = _record(u0, _bump_profile(g), gs_1d, t_end=0.25, record_every=2)
+    res = momentum_balance_residual(rec.rows)
     assert res < TOL["momentum_res_bump"]
 
 
 def test_momentum_residual_needs_aligned_fields(gs_1d):
-    rec = _record(gs_1d.field(), DampingProfile.zero(gs_1d.grid), gs_1d,
-                  store_fields=True)
+    rec = _record(gs_1d.field(), DampingProfile.zero(gs_1d.grid), gs_1d)
     with pytest.raises(ValueError):
-        momentum_balance_residual(rec.rows, rec.a, rec.fields[:-1])
-    with pytest.raises(ValueError):
-        momentum_balance_residual(rec.rows[:1], rec.a, rec.fields[:1])
+        momentum_balance_residual(rec.rows[:1])
+
+
+# A boosted ground state starts on the damping bump and moves off it; the
+# damping takes most of its momentum, so P_1 falls by O(1) over the run.
+# Rows every 5 steps, as in the catalog.
+BOOSTED_RUN = """\
+id = boosted_bump
+dim = 1
+n = 512
+initial_data = boosted_ground_state
+initial_scale = 0.9
+initial_velocity = 1.0
+damping = gaussian_bump
+damping_amplitude = 1.0
+damping_sigma = 2.0
+t_end = 2.0
+record_every = 5
+outputs = {out}
+"""
+
+
+def test_momentum_law_bites_and_reads_from_rows(tmp_path, capsys):
+    cfg_path = tmp_path / "boosted.cfg"
+    cfg_path.write_text(BOOSTED_RUN.format(out=tmp_path / "out"))
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    run_dir = tmp_path / "out" / "boosted_bump"
+    with open(run_dir / "rows.csv", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    cols = {name: [float(v) for v in vals] for name, vals in zip(header, zip(*body))}
+    balance = json.loads((run_dir / "balance.json").read_text())
+
+    t, p, ap = cols["t"], cols["p_1"], cols["int_a_im_grad_1"]
+    assert p[-1] < 0.5 * p[0]
+    scale = cols["mass_sq"][0] * math.sqrt(cols["grad_sq"][0])
+    # dP_1/dt = -2 ∫a Im(∂_1 u ū), by the trapezoid rule between rows.
+    defect = max(
+        abs(p[i + 1] - p[i] + (t[i + 1] - t[i]) * (ap[i] + ap[i + 1]))
+        for i in range(len(t) - 1)
+    ) / scale
+    print(f"P_1 {p[0]:.3f} -> {p[-1]:.3f}, momentum residual {defect:.3e}")
+    assert defect == pytest.approx(balance["momentum_residual"], rel=TOL["momentum_rows_match"])
+    assert defect < TOL["momentum_law_gate"]
+
+    # The same run again, keeping the snapshot fields to recompute the column.
+    cfg = load_scenario_config(cfg_path)
+    gs = ensure_ground_state(cfg.dim, cfg.n, cfg.box, cfg.gs_tol,
+                             cache_dir=tmp_path / "out" / "gs_cache")
+    a = build_damping(gs.grid, cfg.damping)
+    snapshots = []
+    evolve(build_initial(gs.grid, cfg.initial, gs), a, cfg.sim,
+           sink=lambda s, dt, tail: snapshots.append((s.time, s.field.values)))
+    assert [time for time, _ in snapshots] == t
+    g = gs.grid
+    for (_, values), column in zip(snapshots, ap):
+        grad = np.fft.ifftn(1j * g.k_mesh[0] * np.fft.fftn(values))
+        expected = g.integrate(a.values * (grad * values.conj()).imag)
+        assert abs(column - expected) <= TOL["momentum_column_vs_fields"] * scale
+
+
+def test_recorded_run_memory_grows_by_rows_not_fields():
+    g = Grid(1, 2048, 20.0)
+    u0 = ComplexField(g, 0.9 * closed_form_q_1d(g.axis))
+    a = _bump_profile(g)
+    dt = 1e-4
+
+    def recorded_peak(steps):
+        cfg = SimConfig(dt0=dt, t_end=steps * dt, record_every=1)
+        rec = TrajectoryRecorder(a, gradient_window_rule(1.0))
+        tracemalloc.start()
+        try:
+            evolve(u0, a, cfg, rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return len(rec.rows), peak
+
+    rows_short, peak_short = recorded_peak(20)
+    rows_long, peak_long = recorded_peak(80)
+    assert rows_long - rows_short >= 60
+    per_row = (peak_long - peak_short) / (rows_long - rows_short)
+    print(f"peak growth {per_row:.0f} B per row; one field is {u0.values.nbytes} B")
+    assert per_row < TOL["row_growth_per_field"] * u0.values.nbytes
 
 
 def test_envelope_holds_and_saturates(gs_1d):
@@ -269,7 +359,7 @@ def test_envelope_flags_synthetic_violation():
     bal = balance_report(rows, a)
     assert not bal.envelope_ok
     assert bal.max_envelope_violation == pytest.approx(1.0, abs=1e-6)
-    assert math.isnan(bal.momentum_residual)
+    assert bal.momentum_residual == 0.0
     with pytest.raises(ValueError):
         mass_envelope_check([], a)
     with pytest.raises(ValueError):

@@ -115,8 +115,8 @@ def _row(time, mass_sq, grad_sq=1.0, window_radius=1.0, concentration_mass=0.0):
     return DiagnosticsRow(
         time=time, mass_sq=mass_sq, energy=0.0, momentum=(0.0,),
         grad_sq=grad_sq, lp_power=0.0, h_value=0.0, int_a_u2=0.0,
-        int_a_grad2=0.0, int_a_lp=0.0, re_grad_a_term=0.0, dt_used=0.0,
-        tail_fraction=0.0, concentration_mass=concentration_mass,
+        int_a_grad2=0.0, int_a_lp=0.0, re_grad_a_term=0.0, int_a_im_grad=(0.0,),
+        dt_used=0.0, tail_fraction=0.0, concentration_mass=concentration_mass,
         window_radius=window_radius,
     )
 
