@@ -3,6 +3,7 @@ concentration, and the sharp interpolation-inequality functional."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, List, Sequence, Tuple, get_origin, get_type_hints
@@ -11,7 +12,7 @@ import numpy as np
 
 from .evolution import EvolutionState, _spectral_norms
 from .reporting import format_float
-from .spectral import ComplexField, DampingProfile, norms
+from .spectral import ComplexField, DampingProfile, Grid, norms
 
 __all__ = [
     "WindowRule",
@@ -120,14 +121,19 @@ def compute_row(
     conj_v = vals.conj()
     momentum, int_a_im_grad = [], []
     a_grad2 = re_grad_a = 0.0
-    # One axis at a time, so at most one gradient component is held.
+    # One axis at a time, in one array: ∂_j u, transformed in place, then
+    # overwritten by the flux.
     for k, ga in zip(g.k_mesh, a.gradient_values):
-        gj = np.fft.ifftn(1j * k * u_hat)
-        flux = gj * conj_v  # (∂_j u) ū
+        flux = k * u_hat
+        flux *= 1j
+        np.fft.ifftn(flux, out=flux)  # ∂_j u
+        a_grad2 += _dot(a.values, flux.real**2 + flux.imag**2)
+        flux *= conj_v  # (∂_j u) ū
         momentum.append(g.integrate(flux.imag))
         int_a_im_grad.append(_dot(a.values, flux.imag) * vol)
-        a_grad2 += _dot(a.values, gj.real**2 + gj.imag**2)
         re_grad_a += _dot(flux.real, ga)
+    # Released before the windowed mass, which makes transforms of its own.
+    del conj_v, flux
     int_a_u2 = _dot(a.values, abs2) * vol
     int_a_grad2 = a_grad2 * vol
     int_a_lp = _dot(a.values, absp) * vol
@@ -324,34 +330,69 @@ class ConcentrationResult:
     center: Tuple[float, ...]
 
 
+def _grid_r2(dim: int, n: int, half_width: float) -> np.ndarray:
+    """Squared distance of every grid point from the center index."""
+    sq = Grid(1, n, half_width).axis ** 2
+    # Summed in axis order, as Σ_j coords[j]² would be.
+    return sum(np.ix_(*(sq,) * dim))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    # A cached array is handed to every caller, so none may write to it.
+    arr.flags.writeable = False
+    return arr
+
+
+# The two caches below are keyed by the grid's layout, not by a Grid, so they
+# keep no grid's full-grid arrays alive.
+@functools.lru_cache(maxsize=1)
+def _sorted_r2(dim: int, n: int, half_width: float) -> np.ndarray:
+    """The grid's distinct r² values, ascending."""
+    # Not np.unique: without return_inverse it imports numpy.ma (about 0.5 MiB).
+    r2 = np.sort(_grid_r2(dim, n, half_width), axis=None)
+    return _read_only(r2[np.concatenate(([True], r2[1:] != r2[:-1]))])
+
+
+@functools.lru_cache(maxsize=1)
+def _ball_spectrum(dim: int, n: int, half_width: float, r2_max: float) -> np.ndarray:
+    """Real FFT of the indicator of r² <= r2_max, centered on the origin."""
+    ball = np.fft.ifftshift((_grid_r2(dim, n, half_width) <= r2_max).astype(np.float64))
+    return _read_only(np.fft.rfftn(ball))
+
+
 def concentration_mass(field_: ComplexField, w: float) -> ConcentrationResult:
     """Largest windowed mass sup_y ∫_{|x-y|<=w} |u|² over grid-centered balls.
 
     Evaluated for every center at once: the ball is the set of grid offsets
     whose coordinate r² is at most w² (periodic distance). In 1-D that set
     is one run of offsets, summed by a periodic prefix sum; for d ≥ 2 |u|² is
-    convolved with the ball indicator by FFT. Ties resolve to the smallest
-    lexicographic grid index.
+    convolved with the ball indicator by real FFT. The spectrum of the last
+    ball is kept, keyed by the grid's layout and the largest grid r² at most
+    w², so windows whose balls hold the same grid points reuse it.
+    Ties resolve to the smallest lexicographic grid index.
     """
     g = field_.grid
     if not (0.0 < w < g.half_width):
         raise ValueError(f"window radius must lie in (0, {g.half_width}), got {w}")
-    r2 = sum(c * c for c in g.coords)
     vals = field_.values
     abs2 = vals.real**2 + vals.imag**2
     if g.dim == 1:
         # Offsets lo..hi from the center index n/2; windowed[i] sums |u|² over
         # i - hi .. i - lo, read off the prefix sums of |u|² extended periodically.
         n = g.points_per_axis
-        inside = np.flatnonzero(r2 <= w * w)
+        inside = np.flatnonzero(g.coords[0] ** 2 <= w * w)
         lo, hi = int(inside[0]) - n // 2, int(inside[-1]) - n // 2
         width = hi - lo + 1
         extended = np.concatenate((abs2[n - hi:], abs2, abs2[: width - 1 - hi]))
         sums = np.concatenate(([0.0], np.cumsum(extended)))
         windowed = sums[width:] - sums[:n]
     else:
-        ball = np.fft.ifftshift((r2 <= w * w).astype(np.float64))
-        windowed = np.fft.ifftn(np.fft.fftn(abs2) * np.fft.fftn(ball)).real
+        # r² = 0 at the center, so the ball is never empty.
+        layout = (g.dim, g.points_per_axis, g.half_width)
+        radii = _sorted_r2(*layout)
+        r2_max = float(radii[np.searchsorted(radii, w * w, side="right") - 1])
+        spectrum = np.fft.rfftn(abs2) * _ball_spectrum(*layout, r2_max)
+        windowed = np.fft.irfftn(spectrum, s=g.shape, axes=range(g.dim))
     idx = np.unravel_index(int(np.argmax(windowed)), g.shape)
     center = tuple(float(g.axis[i]) for i in idx)
     return ConcentrationResult(float(windowed[idx]) * g.cell_volume, center)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,8 @@ __all__ = [
 GRAD_RATIO_THRESHOLD = 1e6
 # Fraction of mass in the outer 10% annulus of the box that flags a run.
 BOUNDARY_MASS_LIMIT = 1e-6
+# Points of the raveled field the kick rotates at a time (256 KiB of complex values).
+KICK_BLOCK = 16384
 
 
 class StopReason(enum.Enum):
@@ -112,14 +114,15 @@ class _StrangKernel:
 
     Both stepping paths, `evolve` and `strang_step`, run this arithmetic.
     The free flow exp(-i|k|²h) is applied as one 1-D phase per axis,
-    broadcast in place, so no full-grid complex exponential is formed.
-    The kick coefficients of the last dt are cached; runs at a constant dt
-    reuse them on every step.
+    broadcast in place, so no full-grid complex exponential is formed; the
+    per-axis phases of the last two h are kept. The kick coefficients are
+    evaluated on the distinct values of a(x) only and gathered onto the
+    grid, once per change of dt; runs at a constant dt reuse them on every
+    step.
     """
 
     def __init__(self, grid: Grid, a: Optional[DampingProfile] = None):
         self.grid = grid
-        self.a = None if a is None else a.values
         self.sigma = 4.0 / grid.dim
         self.k2_axis = grid.wavenumbers**2
         self.axis_shapes = [
@@ -128,52 +131,89 @@ class _StrangKernel:
         # Looked up at construction, not import, so a patched numpy.fft is seen.
         self.fft = np.fft.fft if grid.dim == 1 else np.fft.fftn
         self.ifft = np.fft.ifft if grid.dim == 1 else np.fft.ifftn
+        self._phases: Dict[float, np.ndarray] = {}
         self._kick_dt: Optional[float] = None
-        self._amp = self._coef = None
+        if a is not None:
+            # a(x) = a_values[a_index], raveled; the profile keeps the table,
+            # so kernels built on one profile, as strang_step's are, share it.
+            self._a_values, self._a_index = a.distinct_values
+            self._amp = np.empty(grid.size)
+            self._half_coef = np.empty(grid.size)
+            block = min(KICK_BLOCK, grid.size)
+            self._theta = np.empty(block)
+            self._t2 = np.empty(block)
+            self._rot = np.empty(block, dtype=np.complex128)
 
     def phase(self, u_hat: np.ndarray, h: float) -> None:
         """In place: û <- exp(-i|k|² h) û, the free flow over h."""
         if h == 0.0:
             return
-        p = np.exp(-1j * h * self.k2_axis)
+        p = self._phases.get(h)
+        if p is None:
+            p = np.exp(-1j * h * self.k2_axis)
+            if len(self._phases) == 2:
+                del self._phases[next(iter(self._phases))]
+            self._phases[h] = p
         for shape in self.axis_shapes:
             u_hat *= p.reshape(shape)
 
     def _kick_coefficients(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-        # Amplitude e^(-a dt) and phase coefficient dt (1 - e^(-sigma a dt))/(sigma a),
-        # with the series branch guarding |a dt| < 1e-6 (covers a = 0).
+        # Amplitude e^(-a dt) and half the phase coefficient
+        # dt (1 - e^(-sigma a dt))/(sigma a), with the series branch guarding
+        # |a dt| < 1e-6 (covers a = 0), on the distinct values of a, then
+        # gathered onto the raveled grid.
         if dt != self._kick_dt:
-            adt = self.a * dt
+            adt = self._a_values * dt
             z = self.sigma * adt
             small = np.abs(adt) < 1e-6
             safe = np.where(small, 1.0, z)
             factor = np.where(small, 1.0 - z / 2.0 + z * z / 6.0, -np.expm1(-safe) / safe)
-            self._amp = np.exp(-adt)
-            self._coef = dt * factor
+            np.take(np.exp(-adt), self._a_index, out=self._amp, mode="clip")
+            # Halving is exact, so this is half of dt * factor bit for bit.
+            np.take(0.5 * dt * factor, self._a_index, out=self._half_coef, mode="clip")
             self._kick_dt = dt
-        return self._amp, self._coef
+        return self._amp, self._half_coef
 
     def kick(self, u: np.ndarray, dt: float, edge_w: Optional[np.ndarray] = None) -> float:
         """In place: exact pointwise flow of u_t = i|u|^sigma u - a u over dt.
 
         The amplitude decays as e^(-a dt) while the phase advances by
-        |u|^sigma dt (1 - e^(-sigma a dt))/(sigma a). With `edge_w`, returns
-        Σ edge_w |u|² of the field before the kick; otherwise 0.
+        θ = |u|^sigma dt (1 - e^(-sigma a dt))/(sigma a). With t = tan(θ/2),
+        the factor is e^(-a dt) ((1 - t²) + 2it)/(1 + t²). It is applied to
+        KICK_BLOCK points at a time of the raveled field, so the block's
+        working arrays stay in cache. With `edge_w`, returns Σ edge_w |u|² of
+        the field before the kick; otherwise 0.
         """
-        amp, coef = self._kick_coefficients(dt)
-        theta = u.real**2 + u.imag**2
-        edge = 0.0 if edge_w is None else float(np.dot(theta.ravel(), edge_w))
-        # |u|^sigma = (|u|²)^(2/d): squared for d = 1, as is for d = 2.
-        if self.grid.dim == 1:
-            np.square(theta, out=theta)
-        elif self.grid.dim == 3:
-            np.power(theta, 0.5 * self.sigma, out=theta)
-        theta *= coef
-        rot = np.empty_like(u)
-        np.cos(theta, out=rot.real)
-        np.sin(theta, out=rot.imag)
-        rot *= amp
-        u *= rot
+        if not u.flags.c_contiguous:
+            raise ValueError("the kick acts in place on a C-contiguous field")
+        amp, half_coef = self._kick_coefficients(dt)
+        flat = u.reshape(-1)
+        theta, t2, rot = self._theta, self._t2, self._rot
+        edge = 0.0
+        for lo in range(0, flat.size, theta.size):
+            hi = lo + theta.size
+            ub = flat[lo:hi]
+            np.multiply(ub.real, ub.real, out=theta)
+            np.multiply(ub.imag, ub.imag, out=t2)
+            theta += t2
+            if edge_w is not None:
+                edge += float(np.dot(theta, edge_w[lo:hi]))
+            # |u|^sigma = (|u|²)^(2/d): squared for d = 1, as is for d = 2.
+            if self.grid.dim == 1:
+                np.square(theta, out=theta)
+            elif self.grid.dim == 3:
+                np.power(theta, 0.5 * self.sigma, out=theta)
+            theta *= half_coef[lo:hi]
+            t = np.tan(theta, out=theta)
+            np.multiply(t, t, out=t2)
+            np.subtract(1.0, t2, out=rot.real)
+            # t2 <- amp/(1 + t²)
+            t2 += 1.0
+            np.divide(amp[lo:hi], t2, out=t2)
+            rot.real *= t2
+            t += t
+            np.multiply(t, t2, out=rot.imag)
+            ub *= rot
         return edge
 
     def advance(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -142,6 +143,16 @@ class DampingProfile:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "gradient_values", grads)
         object.__setattr__(self, "sup_norm", float(np.max(np.abs(vals))))
+
+    @functools.cached_property
+    def distinct_values(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Distinct values of a(x), ascending, and the index with a.ravel() = values[index].
+
+        Built at first use and kept; like sup_norm, it assumes the samples
+        are not changed afterwards.
+        """
+        values, index = np.unique(self.values, return_inverse=True)
+        return values, index.ravel()
 
     @classmethod
     def zero(cls, grid: Grid) -> "DampingProfile":

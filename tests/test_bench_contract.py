@@ -34,6 +34,11 @@ record_every = 5
 outputs = outputs
 """
 
+# The same run in 2-D, so the d ≥ 2 windowed mass is traced too.
+RUN_CONFIG_2D = RUN_CONFIG.replace("contract_1d", "contract_2d").replace(
+    "dim = 1\nn = 256\nbox = 15.0", "dim = 2\nn = 64\nbox = 10.0"
+)
+
 # A short catalog: every entry at N = 256 over 50 steps.
 SUITE_CONFIG = """\
 n = 256
@@ -66,6 +71,10 @@ def _check_traced_probe(tmp_path, argv, config):
 
 def test_traced_probe_reports_every_layer_metric(tmp_path):
     _check_traced_probe(tmp_path, ["evolve", "--config", "run.cfg"], RUN_CONFIG)
+
+
+def test_traced_2d_probe_reports_every_layer_metric(tmp_path):
+    _check_traced_probe(tmp_path, ["evolve", "--config", "run.cfg"], RUN_CONFIG_2D)
 
 
 def test_traced_suite_probe_reports_every_layer_metric(tmp_path):

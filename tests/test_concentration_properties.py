@@ -1,4 +1,8 @@
-"""Property check: the 1-D prefix-sum windowed mass against the FFT circular convolution."""
+"""Property checks: the windowed mass, by prefix sum in 1-D and by a cached
+real ball spectrum for d ≥ 2, against the FFT circular convolution."""
+
+import gc
+import weakref
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 from nlsdamp import ComplexField, Grid, concentration_mass
 
 # Gap between the two windowed masses, relative to the total mass ∫|u|².
-TOL = {"prefix_sum_window": 1e-12}
+TOL = {"prefix_sum_window": 1e-12, "ball_spectrum_window": 1e-12}
 
 
 def fft_windowed_mass(grid, values, w):
@@ -50,3 +54,52 @@ def test_prefix_sum_window_matches_fft_convolution(
     assert abs(res.value - ref.max()) <= TOL["prefix_sum_window"] * total
     (i,) = np.flatnonzero(g.axis == res.center[0])
     assert abs(ref[i] - ref.max()) <= TOL["prefix_sum_window"] * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3]),
+    log2_n=st.integers(2, 5),
+    half_width=st.floats(0.5, 30.0),
+    picks=st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([-1, 0, 1])),
+        min_size=1, max_size=6,
+    ),
+)
+def test_ball_spectrum_window_matches_fft_convolution(seed, dim, log2_n, half_width, picks):
+    g = Grid(dim, 2**log2_n, half_width)
+    rng = np.random.default_rng(seed)
+    r2 = sum(c * c for c in g.coords)
+    values = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) * np.exp(
+        -r2 / half_width**2
+    )
+    total = g.integrate(values.real**2 + values.imag**2)
+    # Grid radii, and the on-axis offsets whose square is exactly a grid r².
+    radii = np.union1d(np.sqrt(np.unique(r2)), np.abs(g.axis))
+    # Windows shrink, then grow again: every radius is visited twice and
+    # neighbouring radii, or one radius nudged by an ulp, share a ball or not.
+    windows = []
+    for fraction, nudge in sorted(picks, reverse=True) + sorted(picks):
+        w = float(radii[int(fraction * radii.size)])
+        if nudge:
+            w = float(np.nextafter(w, nudge * np.inf))
+        if 0.0 < w < half_width:
+            windows.append(w)
+    for w in windows:
+        ref = fft_windowed_mass(g, values, w)
+        res = concentration_mass(ComplexField(g, values), w)
+        assert abs(res.value - ref.max()) <= TOL["ball_spectrum_window"] * total
+        idx = tuple(int(np.flatnonzero(g.axis == c)[0]) for c in res.center)
+        assert abs(ref[idx] - ref.max()) <= TOL["ball_spectrum_window"] * total
+
+
+def test_ball_cache_keeps_no_grid_alive():
+    # The cache is keyed by the grid's layout, so the grid and its full-grid
+    # arrays go once its last user does.
+    g = Grid(2, 32, 6.0)
+    concentration_mass(ComplexField(g, np.ones(g.shape, dtype=np.complex128)), 1.0)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
