@@ -80,12 +80,8 @@ def _write_profile_csv(path: Path, gs_obj) -> None:
 
 def _cmd_ground_state(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    try:
-        gs_obj = ensure_ground_state(args.dim, args.n, args.box, args.tol,
-                                     cache_dir=out_dir / "gs_cache")
-    except ConvergenceError as exc:
-        print(f"ground-state iteration failed: {exc}", file=sys.stderr)
-        return 1
+    gs_obj = ensure_ground_state(args.dim, args.n, args.box, args.tol,
+                                 cache_dir=out_dir / "gs_cache")
     res = pohozaev_residuals(gs_obj)
     payload = {
         "dim": args.dim,
@@ -187,6 +183,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"ground-state iteration failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

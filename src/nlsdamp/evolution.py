@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid
+from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, critical_power
 
 __all__ = [
     "StopReason",
@@ -198,11 +198,7 @@ class _StrangKernel:
             theta += t2
             if edge_w is not None:
                 edge += float(np.dot(theta, edge_w[lo:hi]))
-            # |u|^sigma = (|u|²)^(2/d): squared for d = 1, as is for d = 2.
-            if self.grid.dim == 1:
-                np.square(theta, out=theta)
-            elif self.grid.dim == 3:
-                np.power(theta, 0.5 * self.sigma, out=theta)
+            critical_power(theta, self.grid.dim)
             theta *= half_coef[lo:hi]
             t = np.tan(theta, out=theta)
             np.multiply(t, t, out=t2)

@@ -61,7 +61,7 @@ PEAK_GRAD_RATIO_BOUND = 100.0
 # Detection-time mass must retain this fraction of the critical norm.
 MASS_CONSISTENCY_FRACTION = 0.95
 
-GS_CACHE_VERSION = 2
+GS_CACHE_VERSION = 3
 
 # A scenario id names its output directory under the outputs root, so it may
 # hold no path separator and may not start with a dot.

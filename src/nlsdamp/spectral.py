@@ -14,6 +14,7 @@ __all__ = [
     "ComplexField",
     "DampingProfile",
     "FieldNorms",
+    "critical_power",
     "norms",
 ]
 
@@ -149,10 +150,19 @@ class DampingProfile:
         """Distinct values of a(x), ascending, and the index with a.ravel() = values[index].
 
         Built at first use and kept; like sup_norm, it assumes the samples
-        are not changed afterwards.
+        are not changed afterwards. Equal to np.unique(return_inverse=True),
+        written out over a stable argsort: np.unique's default sort maps
+        more code pages on first use.
         """
-        values, index = np.unique(self.values, return_inverse=True)
-        return values, index.ravel()
+        flat = self.values.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        first = np.empty(flat.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        index = np.empty(flat.size, dtype=np.intp)
+        index[order] = np.cumsum(first) - 1
+        return ranked[first], index
 
     @classmethod
     def zero(cls, grid: Grid) -> "DampingProfile":
@@ -163,6 +173,20 @@ class DampingProfile:
     def constant(cls, grid: Grid, amplitude: float) -> "DampingProfile":
         vals = np.full(grid.shape, float(amplitude))
         return cls(grid, vals, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
+
+
+def critical_power(abs2: np.ndarray, dim: int) -> np.ndarray:
+    """In place: |v|² <- (|v|²)^(2/d) = |v|^(4/d), the critical nonlinearity's modulus.
+
+    Squared for d = 1, as is for d = 2; for d = 3 a cube root then a square,
+    about twice as fast as np.power with exponent 2/3. Returns `abs2`.
+    """
+    if dim == 1:
+        np.square(abs2, out=abs2)
+    elif dim == 3:
+        np.cbrt(abs2, out=abs2)
+        np.square(abs2, out=abs2)
+    return abs2
 
 
 @dataclass(frozen=True)

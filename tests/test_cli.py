@@ -226,6 +226,29 @@ def test_evolve_infinite_gs_tol_is_exit_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
+@pytest.mark.parametrize("command", ["evolve", "suite", "ground-state"])
+def test_failed_ground_state_solve_is_exit_1(tmp_path, capsys, command):
+    # No 64-point profile reaches a residual of 1e-30 in the 500-pass budget.
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    if command == "evolve":
+        text = EVOLVE_CONFIG.format(out=out).replace("n = 256", "n = 64")
+        cfg_path.write_text(text + "gs_tol = 1e-30\n")
+        argv = ["evolve", "--config", str(cfg_path)]
+    elif command == "suite":
+        cfg_path.write_text(f"n = 64\ngs_tol = 1e-30\noutputs = {out}\n")
+        argv = ["suite", "--config", str(cfg_path)]
+    else:
+        argv = ["ground-state", "--dim", "1", "--n", "64", "--box", "10.0",
+                "--tol", "1e-30", "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ground-state iteration failed: no convergence after 500 iterations")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_ground_state_command_writes_profile(tmp_path, capsys):
     code = main(["ground-state", "--dim", "1", "--n", "256", "--box", "12.0",
                  "--out", str(tmp_path)])

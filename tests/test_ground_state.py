@@ -175,13 +175,33 @@ def test_solve_fft_budget(monkeypatch):
     assert calls["fftn"] + calls["ifftn"] == calls["in_norms"] == 1
 
 
+# Anderson mixing of depth 2; the unaccelerated iteration took 27, 44 and 66.
 @pytest.mark.parametrize(
     "grid, updates",
-    [(Grid(1, 512, 20.0), 27), (Grid(2, 128, 10.0), 44)],
-    ids=["1d-512", "2d-128"],
+    [(Grid(1, 512, 20.0), 10), (Grid(2, 128, 10.0), 13), (Grid(3, 64, 10.0), 14)],
+    ids=["1d-512", "2d-128", "3d-64"],
 )
 def test_solve_iteration_count(monkeypatch, grid, updates):
     calls = _count_ffts(monkeypatch)
     gs = solve_ground_state(grid, tol=1e-10)
     assert calls["irfftn"] == updates
     assert gs.residual < 1e-10
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_anderson_coefficients_solve_the_least_squares_problem(depth):
+    rng = np.random.default_rng(depth)
+    f = rng.standard_normal((8, 8))
+    f_hist = [rng.standard_normal((8, 8)) for _ in range(depth)]
+    coefs = ground_state._anderson_coefficients(f, f_hist)
+    diffs = np.stack([(f - h).ravel() for h in f_hist], axis=1)
+    ref, *_ = np.linalg.lstsq(diffs, f.ravel(), rcond=None)
+    assert np.allclose(coefs, ref, rtol=1e-12, atol=0.0)
+
+
+def test_anderson_coefficients_singular_is_none():
+    f = np.linspace(1.0, 2.0, 16)
+    assert ground_state._anderson_coefficients(f, []) is None
+    # A repeated step, and two steps whose differences from f are parallel.
+    assert ground_state._anderson_coefficients(f, [f.copy()]) is None
+    assert ground_state._anderson_coefficients(f, [0.5 * f, 0.25 * f]) is None

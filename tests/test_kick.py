@@ -64,6 +64,17 @@ def test_coefficient_table_is_bit_identical_to_full_grid(dim, n, spec):
         assert np.array_equal(half_coef, 0.5 * ref_coef.ravel())
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("spec", DAMPINGS, ids=lambda s: s.kind)
+def test_distinct_values_match_np_unique(dim, n, spec):
+    a = build_damping(Grid(dim, n, 10.0), spec)
+    values, index = a.distinct_values
+    ref_values, ref_index = np.unique(a.values, return_inverse=True)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(index, ref_index.ravel())
+    assert index.dtype == ref_index.dtype
+
+
 def test_kernels_on_one_profile_share_its_table():
     g = Grid(2, 32, 10.0)
     a = build_damping(g, DampingSpec("negative_bump", amplitude=1.0, sigma=2.0))

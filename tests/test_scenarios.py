@@ -310,13 +310,22 @@ def _other_box(path):
     np.savez(path, **data)
 
 
-@pytest.mark.parametrize("damage", [_truncate, _wrong_shape, _other_box],
-                         ids=["truncated", "wrong_shape", "other_box"])
-def test_ensure_ground_state_rejects_bad_cache(tmp_path, damage):
+def _version_2(path):
+    # Cache version 2 held profiles of the unaccelerated solver.
+    data = dict(np.load(path))
+    data["version"] = np.int64(2)
+    np.savez(path, **data)
+
+
+@pytest.mark.parametrize("damage, reason",
+                         [(_truncate, ""), (_wrong_shape, "profile is"), (_other_box, "solved for"),
+                          (_version_2, r"version 2, expected 3")],
+                         ids=["truncated", "wrong_shape", "other_box", "version_2"])
+def test_ensure_ground_state_rejects_bad_cache(tmp_path, damage, reason):
     first = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
     (path,) = tmp_path.glob("gs-v*.npz")
     damage(path)
-    with pytest.warns(UserWarning, match="rejected"):
+    with pytest.warns(UserWarning, match=f"rejected \\({reason}"):
         again = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
     assert np.array_equal(again.profile, first.profile)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
