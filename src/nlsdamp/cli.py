@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (including inconclusive claim checks), 1 on a hard
 failure (non-convergence, failed check, bad result), 2 on configuration
-errors.
+errors and on initial data the grid cannot resolve.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diagnostics import gn_ratio, random_smooth_field, sharp_gn_constant
+from .evolution import StopReason
 from .ground_state import ConvergenceError, pohozaev_residuals
 from .reporting import dump_json
 from .scenarios import (
@@ -116,6 +117,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         cfg = replace(cfg, outputs=args.out)
     result = run_scenario(cfg)
     r = result.report
+    if r.stop_reason is StopReason.TAIL_UNRESOLVED and len(result.rows) <= 1:
+        print(
+            "initial data is under-resolved on this grid: tail fraction "
+            f"{result.rows[0].tail_fraction:.6g} > tail_threshold "
+            f"{cfg.sim.tail_threshold:.6g} at t = 0; raise n",
+            file=sys.stderr,
+        )
+        return 2
     print(f"scenario     {cfg.scenario_id}")
     print(f"stop reason  {r.stop_reason.value}")
     print(f"blew up      {str(r.blew_up).lower()}")

@@ -84,7 +84,8 @@ class EvolutionState:
 
     `spectrum`, when set, is the FFT û of the field. `evolve` lends the
     spectrum it steps: it is valid only during the sink call, because the
-    next step advances it in place. A sink that keeps it must copy it.
+    next step advances it in place, and its array also holds the mid-step
+    field while the step runs. A sink that keeps it must copy it.
     """
 
     time: float
@@ -217,13 +218,16 @@ class _StrangKernel:
     ) -> Tuple[np.ndarray, float]:
         """Free flow over h, kick over dt; returns the new û and the kick's edge sum.
 
-        û is consumed. The returned spectrum still owes the closing half
-        phase, which a caller merges into the next step's opening one.
+        û is transformed in place with `out=`: its array holds the mid-step
+        field during the kick and the new spectrum on return, and it is the
+        array returned, so a step allocates no full-grid array. The returned
+        spectrum still owes the closing half phase, which a caller merges
+        into the next step's opening one.
         """
         self.phase(u_hat, h)
-        u = self.ifft(u_hat)
+        u = self.ifft(u_hat, out=u_hat)
         edge = self.kick(u, dt, edge_w)
-        return self.fft(u), edge
+        return self.fft(u, out=u), edge
 
 
 def _spectral_norms(
@@ -252,7 +256,7 @@ def strang_step(state: EvolutionState, a: DampingProfile, dt: float) -> Evolutio
     kernel = _StrangKernel(state.field.grid, a)
     u_hat, _ = kernel.advance(kernel.fft(state.field.values), 0.5 * dt, dt)
     kernel.phase(u_hat, 0.5 * dt)
-    out = ComplexField(state.field.grid, kernel.ifft(u_hat))
+    out = ComplexField(state.field.grid, kernel.ifft(u_hat, out=u_hat))
     return EvolutionState(state.time + dt, out, state.step_count + 1)
 
 
@@ -299,6 +303,8 @@ def evolve(
 
     The state carried from step to step is the spectrum û, and adjacent
     half phases are merged, so a step costs one inverse and one forward FFT.
+    Both are taken in û's own array, so one state array, never u0's, serves
+    the whole run.
     Mass, ‖∇u‖² and the tail fraction are read from û; the physical field
     is formed only for the sink, at one inverse FFT per snapshot. The
     boundary-mass flag is raised when a step's mid-step field, the one the
@@ -334,7 +340,7 @@ def evolve(
         if sink is not None:
             kernel.phase(u_hat, owed)
             owed = 0.0
-            field_ = ComplexField(grid, kernel.ifft(u_hat))
+            field_ = ComplexField(grid, kernel.ifft(u_hat, out=np.empty_like(u_hat)))
             sink(EvolutionState(t, field_, steps, u_hat), last_dt, tail)
         emitted_step = steps
 

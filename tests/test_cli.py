@@ -48,6 +48,23 @@ def test_evolve_command_runs_and_writes(tmp_path, capsys):
     assert [c["claim"] for c in checks] == ["global_existence"]
 
 
+def test_evolve_unresolved_initial_data_is_exit_2(tmp_path, capsys):
+    # A Gaussian of width 0.05 on a 1-D N = 512 grid of box 20 trips the
+    # tail guard before the first step.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "id = narrow\ndim = 1\nn = 512\nbox = 20.0\ninitial_data = gaussian\n"
+        "initial_amplitude = 1.0\ninitial_width = 0.05\ndamping = zero\n"
+        f"outputs = {tmp_path / 'out'}\n"
+    )
+    code = main(["evolve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("initial data is under-resolved on this grid: tail fraction ")
+    assert err.endswith(" > tail_threshold 0.0001 at t = 0; raise n\n")
+    assert err.count("\n") == 1
+
+
 def test_evolve_out_flag_overrides_directory(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(EVOLVE_CONFIG.format(out=tmp_path / "ignored"))

@@ -1,6 +1,7 @@
 """Splitting substeps, the exact damping kick, adaptive stepping, and guards."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from nlsdamp import (
     ComplexField,
     ConfigurationError,
     DampingProfile,
+    DampingSpec,
     EvolutionState,
     Grid,
     SimConfig,
     StopReason,
+    build_damping,
     evolve,
     norms,
     strang_step,
 )
+from nlsdamp.diagnostics import random_smooth_field
 from nlsdamp.evolution import (
     BOUNDARY_MASS_LIMIT,
     _dt_from_grad,
@@ -322,3 +326,45 @@ def test_evolve_fft_budget(monkeypatch, dim, n):
            sink=lambda s, dt, tail: steps.append(s.step_count))
     assert steps == [0, 3, 6, 9, 11]
     assert calls == {"forward": 11 + 1, "inverse": 11 + len(steps)}
+
+
+def _stepping_setup(dim, n):
+    g = Grid(dim, n, 10.0)
+    a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))
+    u_hat = np.fft.fftn(3.0 * random_smooth_field(g, np.random.default_rng(5)).values)
+    return g, _StrangKernel(g, a), u_hat
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 64), (3, 32)])
+def test_advance_in_place_matches_out_of_place(dim, n):
+    # The in-place step against the allocating FFT(kick(IFFT(phase(û)))), bit for bit.
+    g, kernel, u_hat0 = _stepping_setup(dim, n)
+    edge_w = np.random.default_rng(6).random(g.size)
+    for h, dt in ((5e-4, 1e-3), (1.5e-3, 2e-3)):
+        ref = u_hat0.copy()
+        kernel.phase(ref, h)
+        u = np.fft.ifftn(ref)
+        ref_edge = kernel.kick(u, dt, edge_w)
+        ref = np.fft.fftn(u)
+        u_hat = u_hat0.copy()
+        out, edge = kernel.advance(u_hat, h, dt, edge_w)
+        assert out is u_hat
+        assert np.array_equal(out, ref)
+        assert edge == ref_edge
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 64), (3, 32)])
+def test_advance_allocates_no_grid_array(dim, n):
+    # With the phase and kick coefficients of (h, dt) cached by one step,
+    # three more steps peak below 1.5 complex grid arrays of traced
+    # allocation; allocating transforms would make about 4.
+    g, kernel, u_hat = _stepping_setup(dim, n)
+    u_hat, _ = kernel.advance(u_hat, 1e-3, 1e-3)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            u_hat, _ = kernel.advance(u_hat, 1e-3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * u_hat.nbytes

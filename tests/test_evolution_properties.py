@@ -1,4 +1,5 @@
-"""Property check: evolve's merged half phases against unmerged Strang steps."""
+"""Property checks: evolve's merged half phases against unmerged Strang steps, and
+the in-place stepping never writes into the caller's arrays."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -49,3 +50,34 @@ def test_evolve_matches_unmerged_strang_steps(seed, dim, amplitude, damping, ste
     ref = state.field.values
     err = np.max(np.abs(snapshots[-1].field.values - ref))
     assert err <= TOL["merged_phases"] * np.max(np.abs(ref))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2, 3]),
+    damping=st.floats(-1.0, 1.0),
+    steps=st.integers(1, 5),
+)
+def test_stepping_leaves_caller_data_untouched(seed, dim, damping, steps):
+    g = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 8.0)
+    u0 = ComplexField(g, random_smooth_field(g, np.random.default_rng(seed)).values)
+    before = u0.values.copy()
+    a = DampingProfile.constant(g, damping)
+    dt = 1e-3
+    cfg = SimConfig(dt0=dt, t_end=steps * dt, adapt_const=1e30, dt_min=1e-9,
+                    tail_threshold=0.999, record_every=2)
+    kept = []
+    evolve(u0, a, cfg,
+           sink=lambda s, dt_used, tail: kept.append((s.field.values, s.field.values.copy())))
+    assert np.array_equal(u0.values, before)
+    # Each snapshot's field is its own: later steps do not write into it.
+    assert len(kept) >= 2
+    for values, at_emit in kept:
+        assert values is not u0.values
+        assert np.array_equal(values, at_emit)
+
+    state = EvolutionState(0.0, u0)
+    nxt = strang_step(state, a, dt)
+    assert np.array_equal(state.field.values, before)
+    assert nxt.field.values is not u0.values
