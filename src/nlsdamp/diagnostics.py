@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Sequence, Tuple, get_origin, get_type_hints
+from typing import Callable, Iterable, List, Sequence, Tuple, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,6 +89,13 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x.ravel(), y.ravel()))
 
 
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|² = Re(v)² + Im(v)², built in one new array."""
+    x = v.real**2
+    x += v.imag**2
+    return x
+
+
 def compute_row(
     state: EvolutionState,
     a: DampingProfile,
@@ -110,33 +117,37 @@ def compute_row(
     d = g.dim
     vol = g.cell_volume
     vals = state.field.values
-    abs2 = vals.real**2 + vals.imag**2
+    abs2 = _abs2(vals)
     mass_sq = g.integrate(abs2)
+    int_a_u2 = _dot(a.values, abs2) * vol
     u_hat = state.spectrum if state.spectrum is not None else np.fft.fftn(vals)
     _, grad_sq, _ = _spectral_norms(u_hat, g)
     p = 4.0 / d + 2.0
     absp = abs2 ** (p / 2.0)
+    del abs2
     lp_power = g.integrate(absp)
+    int_a_lp = _dot(a.values, absp) * vol
+    del absp
     energy = 0.5 * grad_sq - d / (4.0 + 2.0 * d) * lp_power
-    conj_v = vals.conj()
     momentum, int_a_im_grad = [], []
     a_grad2 = re_grad_a = 0.0
     # One axis at a time, in one array: ∂_j u, transformed in place, then
-    # overwritten by the flux.
+    # overwritten by the flux conj(∂_j u)·u, whose real part is that of
+    # (∂_j u)·ū and whose imaginary part is exactly its negative.
     for k, ga in zip(g.k_mesh, a.gradient_values):
         flux = k * u_hat
         flux *= 1j
         np.fft.ifftn(flux, out=flux)  # ∂_j u
-        a_grad2 += _dot(a.values, flux.real**2 + flux.imag**2)
-        flux *= conj_v  # (∂_j u) ū
-        momentum.append(g.integrate(flux.imag))
-        int_a_im_grad.append(_dot(a.values, flux.imag) * vol)
+        a_grad2 += _dot(a.values, _abs2(flux))
+        np.conjugate(flux, out=flux)
+        flux *= vals
+        # 0.0 - x, not -x: a zero integral is +0.0, the sign (∂_j u)ū gives.
+        momentum.append(0.0 - g.integrate(flux.imag))
+        int_a_im_grad.append(0.0 - _dot(a.values, flux.imag) * vol)
         re_grad_a += _dot(flux.real, ga)
     # Released before the windowed mass, which makes transforms of its own.
-    del conj_v, flux
-    int_a_u2 = _dot(a.values, abs2) * vol
+    del flux
     int_a_grad2 = a_grad2 * vol
-    int_a_lp = _dot(a.values, absp) * vol
     re_grad_a_term = re_grad_a * vol
     h_value = -int_a_grad2 + int_a_lp - re_grad_a_term
     if mass_sq == 0.0:
@@ -214,47 +225,67 @@ def csv_line(row: DiagnosticsRow, dim: int) -> str:
     return ",".join(format_float(v) for v in vals)
 
 
+def _worst_defect(defects: Iterable[float], scale: float) -> float:
+    """max(0, defects…) / scale, or NaN when a defect or the scale is not finite.
+
+    A non-finite row value makes its defect non-finite; max() alone would
+    skip a NaN and report the balance as exact.
+    """
+    worst = 0.0
+    for defect in defects:
+        if not math.isfinite(defect):
+            return math.nan
+        worst = max(worst, defect)
+    return worst / scale if math.isfinite(scale) else math.nan
+
+
 def mass_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
     """Worst per-interval defect of d/dt ∫|u|² = -2 ∫a|u|².
 
     Trapezoid rule in time over consecutive rows, normalized by the initial
-    mass.
+    mass. NaN when a row value it uses is not finite.
     """
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
     m0 = rows[0].mass_sq
     if m0 == 0.0:
         return 0.0
-    worst = 0.0
-    for r1, r2 in zip(rows, rows[1:]):
-        dt = r2.time - r1.time
-        integral = 0.5 * dt * (r1.int_a_u2 + r2.int_a_u2)
-        worst = max(worst, abs(r2.mass_sq - r1.mass_sq + 2.0 * integral))
-    return worst / m0
+
+    def defects():
+        for r1, r2 in zip(rows, rows[1:]):
+            dt = r2.time - r1.time
+            integral = 0.5 * dt * (r1.int_a_u2 + r2.int_a_u2)
+            yield abs(r2.mass_sq - r1.mass_sq + 2.0 * integral)
+
+    return _worst_defect(defects(), m0)
 
 
 def energy_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
     """Worst per-interval defect of dE/dt = H, normalized by max(1, |E(0)|).
 
     The sign convention (energy drifts by +∫H dt) is pinned by the
-    finite-difference oracle in the test suite.
+    finite-difference oracle in the test suite. NaN when a row value it
+    uses is not finite.
     """
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
     scale = max(1.0, abs(rows[0].energy))
-    worst = 0.0
-    for r1, r2 in zip(rows, rows[1:]):
-        dt = r2.time - r1.time
-        integral = 0.5 * dt * (r1.h_value + r2.h_value)
-        worst = max(worst, abs(r2.energy - r1.energy - integral))
-    return worst / scale
+
+    def defects():
+        for r1, r2 in zip(rows, rows[1:]):
+            dt = r2.time - r1.time
+            integral = 0.5 * dt * (r1.h_value + r2.h_value)
+            yield abs(r2.energy - r1.energy - integral)
+
+    return _worst_defect(defects(), scale)
 
 
 def momentum_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
     """Worst per-interval, per-component defect of dP/dt = -2 ∫a Im(∇u ū).
 
     Trapezoid rule in time over consecutive rows, normalized by
-    mass_sq(0)·‖∇u₀‖ (or 1 when that degenerates to zero).
+    mass_sq(0)·‖∇u₀‖ (or 1 when that degenerates to zero). NaN when a row
+    value it uses is not finite.
     """
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
@@ -262,14 +293,15 @@ def momentum_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
     if scale == 0.0:
         scale = 1.0
     dim = len(rows[0].momentum)
-    worst = 0.0
-    for r1, r2 in zip(rows, rows[1:]):
-        dt = r2.time - r1.time
-        for j in range(dim):
-            integral = 0.5 * dt * (r1.int_a_im_grad[j] + r2.int_a_im_grad[j])
-            defect = r2.momentum[j] - r1.momentum[j] + 2.0 * integral
-            worst = max(worst, abs(defect))
-    return worst / scale
+
+    def defects():
+        for r1, r2 in zip(rows, rows[1:]):
+            dt = r2.time - r1.time
+            for j in range(dim):
+                integral = 0.5 * dt * (r1.int_a_im_grad[j] + r2.int_a_im_grad[j])
+                yield abs(r2.momentum[j] - r1.momentum[j] + 2.0 * integral)
+
+    return _worst_defect(defects(), scale)
 
 
 @dataclass(frozen=True)
@@ -283,7 +315,8 @@ class EnvelopeCheck:
 def mass_envelope_check(rows: Sequence[DiagnosticsRow], a: DampingProfile) -> EnvelopeCheck:
     """Check ‖u₀‖e^(-‖a‖∞ t) <= ‖u(t)‖ <= ‖u₀‖e^(+‖a‖∞ t) on every row.
 
-    Margins carry an absolute slack of 1e-8·‖u₀‖ against round-off.
+    Margins carry an absolute slack of 1e-8·‖u₀‖ against round-off. A
+    non-finite margin fails the check, with worst = NaN.
     """
     if not rows:
         raise ValueError("need at least one diagnostics row")
@@ -294,7 +327,10 @@ def mass_envelope_check(rows: Sequence[DiagnosticsRow], a: DampingProfile) -> En
         val = math.sqrt(r.mass_sq)
         upper = u0 * math.exp(a.sup_norm * r.time) + eps
         lower = u0 * math.exp(-a.sup_norm * r.time) - eps
-        worst = min(worst, upper - val, val - lower)
+        margins = (upper - val, val - lower)
+        if not all(map(math.isfinite, margins)):
+            return EnvelopeCheck(ok=False, worst=math.nan)
+        worst = min(worst, *margins)
     return EnvelopeCheck(ok=worst >= 0.0, worst=worst)
 
 
@@ -320,7 +356,8 @@ def balance_report(
         energy_residual=energy_balance_residual(rows),
         momentum_residual=momentum_balance_residual(rows),
         envelope_ok=env.ok,
-        max_envelope_violation=max(0.0, -env.worst),
+        # NaN when the envelope check met a non-finite margin.
+        max_envelope_violation=0.0 if env.worst >= 0.0 else -env.worst,
     )
 
 
@@ -374,8 +411,7 @@ def concentration_mass(field_: ComplexField, w: float) -> ConcentrationResult:
     g = field_.grid
     if not (0.0 < w < g.half_width):
         raise ValueError(f"window radius must lie in (0, {g.half_width}), got {w}")
-    vals = field_.values
-    abs2 = vals.real**2 + vals.imag**2
+    abs2 = _abs2(field_.values)
     if g.dim == 1:
         # Offsets lo..hi from the center index n/2; windowed[i] sums |u|² over
         # i - hi .. i - lo, read off the prefix sums of |u|² extended periodically.

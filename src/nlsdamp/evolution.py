@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, critical_power
+from .spectral import (
+    ComplexField,
+    ConfigurationError,
+    DampingProfile,
+    Grid,
+    _require_finite,
+    critical_power,
+)
 
 __all__ = [
     "StopReason",
@@ -72,10 +79,7 @@ class SimConfig:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
         if not self.blowup_grad_ratio > 1.0:
             raise ConfigurationError("blowup_grad_ratio must exceed 1")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        _require_finite(self)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .diagnostics import (
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
 from .ground_state import GroundState, solve_ground_state
 from .reporting import dump_json, format_float
-from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid
+from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite
 
 __all__ = [
     "InitialSpec",
@@ -83,6 +83,9 @@ class InitialSpec:
             raise ConfigurationError(
                 f"unknown initial_data kind {self.kind!r}; expected one of {INITIAL_KINDS}"
             )
+        _require_finite(self, "initial_")
+        if self.kind == "gaussian" and not self.width > 0:
+            raise ConfigurationError(f"gaussian initial data needs width > 0, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,7 @@ class DampingSpec:
             raise ConfigurationError("bump damping needs sigma > 0")
         if self.kind == "cosine" and not self.wavelength > 0:
             raise ConfigurationError("cosine damping needs wavelength > 0")
+        _require_finite(self, "damping_")
 
     @property
     def sup_norm(self) -> float:

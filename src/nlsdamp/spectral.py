@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 import numpy as np
@@ -23,6 +24,17 @@ class ConfigurationError(ValueError):
     """Raised when inputs describe an inconsistent or unknown setup."""
 
 
+def _require_finite(spec, prefix: str = "") -> None:
+    """ConfigurationError on the first non-finite float field of a dataclass.
+
+    The message names the field as the config key `<prefix><name>`.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{prefix}{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L, L)^dim with an FFT spectral basis.
@@ -31,6 +43,11 @@ class Grid:
     integer frequencies j; the Nyquist mode keeps its multiplier as-is.
     Integrals use the rectangle rule, which is exact for trigonometric
     polynomials resolved by the grid.
+
+    `coords[j]` and `k_mesh[j]` are read-only views of the 1-D axis and
+    wavenumbers, broadcast to the grid shape with stride 0 off axis j: they
+    read like `np.meshgrid(..., indexing="ij")` but hold no full-grid array.
+    `k2` is one full array.
 
     Parameters
     ----------
@@ -62,14 +79,22 @@ class Grid:
             raise ConfigurationError(f"half_width must be positive, got {self.half_width}")
         axis = -self.half_width + self.spacing * np.arange(n)
         k_axis = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
-        coords = np.meshgrid(*(axis,) * self.dim, indexing="ij")
-        k_mesh = np.meshgrid(*(k_axis,) * self.dim, indexing="ij")
+        coords = self._mesh(axis)
+        k_mesh = self._mesh(k_axis)
         k2 = sum(k * k for k in k_mesh)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "wavenumbers", k_axis)
-        object.__setattr__(self, "coords", tuple(coords))
-        object.__setattr__(self, "k_mesh", tuple(k_mesh))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "k_mesh", k_mesh)
         object.__setattr__(self, "k2", k2)
+
+    def _mesh(self, values: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """`values` along each axis j in turn, broadcast over the others."""
+        shape = self.shape
+        return tuple(
+            np.broadcast_to(values.reshape([-1 if i == j else 1 for i in range(self.dim)]), shape)
+            for j in range(self.dim)
+        )
 
     @property
     def spacing(self) -> float:

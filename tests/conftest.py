@@ -1,4 +1,7 @@
-"""Session fixtures: the two reference ground states and one full catalog run."""
+"""Session fixtures: the two reference ground states and one full catalog run,
+and `traced_peak`, the allocation probe of the memory tests."""
+
+import tracemalloc
 
 import pytest
 
@@ -29,3 +32,13 @@ def catalog_results(tmp_path_factory):
         "by_id": {r.config.scenario_id: r for r in results},
         "root": out,
     }
+
+
+def traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while fn() runs (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -98,6 +98,12 @@ def test_evolve_unknown_key_is_exit_2(tmp_path, capsys):
         ("t_end = 0.05", "t_end = inf"),
         ("id = cli_demo", "id = ../esc"),
         ("id = cli_demo", "id = a/b"),
+        ("initial_amplitude = 0.8", "initial_amplitude = nan"),
+        ("initial_width = 1.0", "initial_width = 0"),
+        ("initial_width = 1.0", "initial_width = inf"),
+        ("damping_amplitude = 1.0", "damping_amplitude = inf"),
+        ("initial_data = gaussian", "initial_data = scaled_ground_state\ninitial_scale = nan"),
+        ("initial_data = gaussian", "initial_data = boosted_ground_state\ninitial_velocity = -inf"),
     ],
 )
 def test_evolve_invalid_value_is_exit_2(tmp_path, capsys, old, new):

@@ -2,16 +2,20 @@
 and the interpolation functional, each pinned by an independent oracle."""
 
 import csv
+import dataclasses
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+
 from nlsdamp import (
+    BalanceReport,
     ComplexField,
     DampingProfile,
+    DampingSpec,
     EvolutionState,
     Grid,
     SimConfig,
@@ -324,12 +328,7 @@ def test_recorded_run_memory_grows_by_rows_not_fields():
     def recorded_peak(steps):
         cfg = SimConfig(dt0=dt, t_end=steps * dt, record_every=1)
         rec = TrajectoryRecorder(a, gradient_window_rule(1.0))
-        tracemalloc.start()
-        try:
-            evolve(u0, a, cfg, rec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: evolve(u0, a, cfg, rec))
         return len(rec.rows), peak
 
     rows_short, peak_short = recorded_peak(20)
@@ -338,6 +337,64 @@ def test_recorded_run_memory_grows_by_rows_not_fields():
     per_row = (peak_long - peak_short) / (rows_long - rows_short)
     print(f"peak growth {per_row:.0f} B per row; one field is {u0.values.nbytes} B")
     assert per_row < TOL["row_growth_per_field"] * u0.values.nbytes
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64), (3, 32)])
+def test_row_temporaries_stay_below_four_grid_arrays(dim, n):
+    # A warmed row (ball spectrum cached) with the spectrum lent, as evolve
+    # lends it: the row's own allocations peak below 4 complex grid arrays.
+    g = Grid(dim, n, 10.0)
+    a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))
+    values = 3.0 * random_smooth_field(g, np.random.default_rng(5)).values
+    state = EvolutionState(0.0, ComplexField(g, values), 0, np.fft.fftn(values))
+    rule = gradient_window_rule(1.0)
+    compute_row(state, a, rule)
+    peak = traced_peak(lambda: compute_row(state, a, rule))
+    print(f"row peak {peak / values.nbytes:.2f} complex grid arrays")
+    assert peak < 4.0 * values.nbytes
+
+
+def _nan_rows(name, value):
+    # Three rows of an exact undamped ledger, the middle one broken in one column.
+    rows = [_synthetic_row(t, 1.0) for t in (0.0, 0.5, 1.0)]
+    old = getattr(rows[1], name)
+    bad = tuple(value for _ in old) if isinstance(old, tuple) else value
+    rows[1] = dataclasses.replace(rows[1], **{name: bad})
+    return rows
+
+
+LEDGER_READS = {
+    "time": ("mass", "energy", "momentum", "envelope"),
+    "mass_sq": ("mass", "envelope"),
+    "int_a_u2": ("mass",),
+    "energy": ("energy",),
+    "h_value": ("energy",),
+    "momentum": ("momentum",),
+    "int_a_im_grad": ("momentum",),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(LEDGER_READS))
+def test_ledger_reports_non_finite_row(name, value):
+    # max() and min() skip a NaN; the ledger must not read one as exact.
+    a = DampingProfile.zero(Grid(1, 16, 5.0))
+    clean = _nan_rows("time", 0.5)
+    assert balance_report(clean, a) == BalanceReport(0.0, 0.0, 0.0, True, 0.0)
+    rows = _nan_rows(name, value)
+    reads = LEDGER_READS[name]
+    residuals = {
+        "mass": mass_balance_residual(rows),
+        "energy": energy_balance_residual(rows),
+        "momentum": momentum_balance_residual(rows),
+    }
+    for law, residual in residuals.items():
+        assert math.isnan(residual) == (law in reads), law
+    env = mass_envelope_check(rows, a)
+    bal = balance_report(rows, a)
+    assert env.ok == bal.envelope_ok == ("envelope" not in reads)
+    if "envelope" in reads:
+        assert math.isnan(env.worst) and math.isnan(bal.max_envelope_violation)
 
 
 def test_envelope_holds_and_saturates(gs_1d):

@@ -57,6 +57,21 @@ def test_grid_layout_3d():
     assert g.k2.shape == (4, 4, 4)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_meshes_are_zero_stride_views(dim):
+    g = Grid(dim, 8, 3.0)
+    for axis, meshes in ((g.axis, g.coords), (g.wavenumbers, g.k_mesh)):
+        full = np.meshgrid(*(axis,) * dim, indexing="ij")
+        for j, (mesh, ref) in enumerate(zip(meshes, full)):
+            assert not mesh.flags.writeable
+            assert mesh.strides == tuple(axis.itemsize if i == j else 0 for i in range(dim))
+            assert np.array_equal(mesh, ref)
+    assert np.array_equal(sum(c * c for c in g.coords),
+                          sum(c * c for c in np.meshgrid(*(g.axis,) * dim, indexing="ij")))
+    assert np.array_equal(g.k2,
+                          sum(k * k for k in np.meshgrid(*(g.wavenumbers,) * dim, indexing="ij")))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(4, 8, 1.0)
