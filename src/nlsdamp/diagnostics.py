@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, List, Sequence, Tuple, get_origin, get_type_hints
+from itertools import islice
+from typing import Callable, Iterator, List, Sequence, Tuple, Union, get_origin, get_type_hints
 
 import numpy as np
 
@@ -20,6 +22,7 @@ __all__ = [
     "DiagnosticsRow",
     "compute_row",
     "TrajectoryRecorder",
+    "RowTable",
     "csv_header",
     "csv_line",
     "mass_balance_residual",
@@ -186,13 +189,14 @@ def compute_row(
 class TrajectoryRecorder:
     """Evolution sink that turns snapshots into diagnostics rows.
 
-    Only the rows are kept, so memory grows by one row per snapshot.
+    Only the rows are kept, in `rows`, a RowTable: memory grows by one row
+    of 8-byte values per snapshot.
     """
 
     def __init__(self, a: DampingProfile, w_rule: WindowRule):
         self.a = a
         self.w_rule = w_rule
-        self.rows: List[DiagnosticsRow] = []
+        self.rows = RowTable(a.grid.dim)
 
     def __call__(self, state: EvolutionState, dt_used: float, tail_fraction: float) -> None:
         self.rows.append(compute_row(state, self.a, self.w_rule, dt_used, tail_fraction))
@@ -217,25 +221,111 @@ def csv_header(dim: int) -> str:
     return ",".join(cols)
 
 
-def csv_line(row: DiagnosticsRow, dim: int) -> str:
+def _flatten(row: DiagnosticsRow, dim: int) -> List[float]:
+    """The row's values in rows.csv column order."""
     vals: List[float] = []
     for name, _, per_axis in _ROW_COLUMNS:
         value = getattr(row, name)
         vals += [value[j] for j in range(dim)] if per_axis else [value]
-    return ",".join(format_float(v) for v in vals)
+    return vals
 
 
-def _worst_defect(defects: Iterable[float], scale: float) -> float:
+def _csv_text(values) -> str:
+    return ",".join(format_float(v) for v in values)
+
+
+def csv_line(row: DiagnosticsRow, dim: int) -> str:
+    return _csv_text(_flatten(row, dim))
+
+
+class RowTable(Sequence[DiagnosticsRow]):
+    """Recorded diagnostics rows as one float64 table, 8 bytes per value.
+
+    The values sit row by row, as native doubles, in one bytearray that
+    grows in place; there is one column per rows.csv column (`names`, from
+    `csv_header(dim)`). Reading a row builds its DiagnosticsRow; indexing
+    (negative too), slicing (a new table), iteration and len work as on a
+    list of rows. `column(name)` is a read-only numpy view of one column.
+    While such a view is alive the table cannot grow: `append` raises
+    BufferError.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.names = tuple(csv_header(dim).split(","))
+        self.width = len(self.names)
+        self._row = struct.Struct(f"{self.width}d")
+        self._data = bytearray()
+
+    @classmethod
+    def of(cls, rows: Sequence[DiagnosticsRow]) -> "RowTable":
+        """rows itself when it is a table, else a new table of its (≥ 1) rows."""
+        if isinstance(rows, cls):
+            return rows
+        if not rows:
+            raise ValueError("need at least one diagnostics row")
+        table = cls(len(rows[0].momentum))
+        for row in rows:
+            table.append(row)
+        return table
+
+    def append(self, row: DiagnosticsRow) -> None:
+        self._data += self._row.pack(*_flatten(row, self.dim))
+
+    def __len__(self) -> int:
+        return len(self._data) // self._row.size
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[DiagnosticsRow, "RowTable"]:
+        if isinstance(index, slice):
+            part = RowTable(self.dim)
+            part._data += self._matrix()[index].tobytes()
+            return part
+        # A range indexes as a list does: negative indices, IndexError.
+        values = iter(self._values(range(len(self))[index]))
+        return DiagnosticsRow(**{
+            name: tuple(islice(values, self.dim)) if per_axis else next(values)
+            for name, _, per_axis in _ROW_COLUMNS
+        })
+
+    def _values(self, i: int) -> Tuple[float, ...]:
+        return self._row.unpack_from(self._data, i * self._row.size)
+
+    def _matrix(self) -> np.ndarray:
+        m = np.frombuffer(self._data, dtype=np.float64).reshape(-1, self.width)
+        m.flags.writeable = False
+        return m
+
+    def column(self, name: str) -> np.ndarray:
+        """The values of rows.csv column `name`, one per row, as a view."""
+        return self._matrix()[:, self.names.index(name)]
+
+    def csv_lines(self) -> Iterator[str]:
+        """One rows.csv line per row, as `csv_line` writes it."""
+        return (_csv_text(self._values(i)) for i in range(len(self)))
+
+
+def _trapezoid_defects(table: RowTable, value: str, rate: str, factor: float) -> np.ndarray:
+    """|Δvalue + factor·∫rate dt| on each interval between consecutive rows.
+
+    The integral is the trapezoid rule in time. The operands are combined in
+    the order of the per-row loop this replaced, so each defect is that
+    loop's bit for bit (factor -1 subtracts exactly).
+    """
+    t, v, r = table.column("t"), table.column(value), table.column(rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = 0.5 * (t[1:] - t[:-1]) * (r[:-1] + r[1:])
+        return np.abs(v[1:] - v[:-1] + factor * integral)
+
+
+def _worst_defect(defects: np.ndarray, scale: float) -> float:
     """max(0, defects…) / scale, or NaN when a defect or the scale is not finite.
 
     A non-finite row value makes its defect non-finite; max() alone would
     skip a NaN and report the balance as exact.
     """
-    worst = 0.0
-    for defect in defects:
-        if not math.isfinite(defect):
-            return math.nan
-        worst = max(worst, defect)
+    if not np.isfinite(defects).all():
+        return math.nan
+    worst = float(defects.max(initial=0.0))
     return worst / scale if math.isfinite(scale) else math.nan
 
 
@@ -243,21 +333,16 @@ def mass_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
     """Worst per-interval defect of d/dt ∫|u|² = -2 ∫a|u|².
 
     Trapezoid rule in time over consecutive rows, normalized by the initial
-    mass. NaN when a row value it uses is not finite.
+    mass. NaN when a row value it uses is not finite. Reads the columns of
+    a RowTable; any other sequence of rows is first turned into one.
     """
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
-    m0 = rows[0].mass_sq
+    table = RowTable.of(rows)
+    m0 = float(table.column("mass_sq")[0])
     if m0 == 0.0:
         return 0.0
-
-    def defects():
-        for r1, r2 in zip(rows, rows[1:]):
-            dt = r2.time - r1.time
-            integral = 0.5 * dt * (r1.int_a_u2 + r2.int_a_u2)
-            yield abs(r2.mass_sq - r1.mass_sq + 2.0 * integral)
-
-    return _worst_defect(defects(), m0)
+    return _worst_defect(_trapezoid_defects(table, "mass_sq", "int_a_u2", 2.0), m0)
 
 
 def energy_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
@@ -265,19 +350,14 @@ def energy_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
 
     The sign convention (energy drifts by +∫H dt) is pinned by the
     finite-difference oracle in the test suite. NaN when a row value it
-    uses is not finite.
+    uses is not finite. Reads the columns of a RowTable; any other sequence
+    of rows is first turned into one.
     """
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
-    scale = max(1.0, abs(rows[0].energy))
-
-    def defects():
-        for r1, r2 in zip(rows, rows[1:]):
-            dt = r2.time - r1.time
-            integral = 0.5 * dt * (r1.h_value + r2.h_value)
-            yield abs(r2.energy - r1.energy - integral)
-
-    return _worst_defect(defects(), scale)
+    table = RowTable.of(rows)
+    scale = max(1.0, abs(float(table.column("energy")[0])))
+    return _worst_defect(_trapezoid_defects(table, "energy", "h_value", -1.0), scale)
 
 
 def momentum_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
@@ -285,23 +365,20 @@ def momentum_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
 
     Trapezoid rule in time over consecutive rows, normalized by
     mass_sq(0)·‖∇u₀‖ (or 1 when that degenerates to zero). NaN when a row
-    value it uses is not finite.
+    value it uses is not finite. Reads the columns of a RowTable; any other
+    sequence of rows is first turned into one.
     """
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
-    scale = rows[0].mass_sq * math.sqrt(rows[0].grad_sq)
+    table = RowTable.of(rows)
+    scale = float(table.column("mass_sq")[0]) * math.sqrt(float(table.column("grad_sq")[0]))
     if scale == 0.0:
         scale = 1.0
-    dim = len(rows[0].momentum)
-
-    def defects():
-        for r1, r2 in zip(rows, rows[1:]):
-            dt = r2.time - r1.time
-            for j in range(dim):
-                integral = 0.5 * dt * (r1.int_a_im_grad[j] + r2.int_a_im_grad[j])
-                yield abs(r2.momentum[j] - r1.momentum[j] + 2.0 * integral)
-
-    return _worst_defect(defects(), scale)
+    defects = [
+        _trapezoid_defects(table, f"p_{j}", f"int_a_im_grad_{j}", 2.0)
+        for j in range(1, table.dim + 1)
+    ]
+    return _worst_defect(np.concatenate(defects), scale)
 
 
 @dataclass(frozen=True)
@@ -316,17 +393,22 @@ def mass_envelope_check(rows: Sequence[DiagnosticsRow], a: DampingProfile) -> En
     """Check ‖u₀‖e^(-‖a‖∞ t) <= ‖u(t)‖ <= ‖u₀‖e^(+‖a‖∞ t) on every row.
 
     Margins carry an absolute slack of 1e-8·‖u₀‖ against round-off. A
-    non-finite margin fails the check, with worst = NaN.
+    non-finite margin fails the check, with worst = NaN. Reads the t and
+    mass_sq columns of a RowTable (any other sequence of rows is first
+    turned into one), as Python floats: math.exp, not np.exp, whose last
+    bit can differ.
     """
     if not rows:
         raise ValueError("need at least one diagnostics row")
-    u0 = math.sqrt(rows[0].mass_sq)
+    table = RowTable.of(rows)
+    masses = table.column("mass_sq").tolist()
+    u0 = math.sqrt(masses[0])
     eps = 1e-8 * u0
     worst = math.inf
-    for r in rows:
-        val = math.sqrt(r.mass_sq)
-        upper = u0 * math.exp(a.sup_norm * r.time) + eps
-        lower = u0 * math.exp(-a.sup_norm * r.time) - eps
+    for t, m in zip(table.column("t").tolist(), masses):
+        val = math.sqrt(m)
+        upper = u0 * math.exp(a.sup_norm * t) + eps
+        lower = u0 * math.exp(-a.sup_norm * t) - eps
         margins = (upper - val, val - lower)
         if not all(map(math.isfinite, margins)):
             return EnvelopeCheck(ok=False, worst=math.nan)
@@ -350,11 +432,16 @@ def balance_report(
     a: DampingProfile,
     fields=None,  # unused: kept only so the benchmark's stored-field probe still attaches
 ) -> BalanceReport:
-    env = mass_envelope_check(rows, a)
+    """The three balance residuals and the mass envelope, from the rows alone.
+
+    A sequence of rows that is not a RowTable is turned into one once, here.
+    """
+    table = RowTable.of(rows)
+    env = mass_envelope_check(table, a)
     return BalanceReport(
-        mass_residual=mass_balance_residual(rows),
-        energy_residual=energy_balance_residual(rows),
-        momentum_residual=momentum_balance_residual(rows),
+        mass_residual=mass_balance_residual(table),
+        energy_residual=energy_balance_residual(table),
+        momentum_residual=momentum_balance_residual(table),
         envelope_ok=env.ok,
         # NaN when the envelope check met a non-finite margin.
         max_envelope_violation=0.0 if env.worst >= 0.0 else -env.worst,

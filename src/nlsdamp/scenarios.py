@@ -17,10 +17,10 @@ import numpy as np
 from .diagnostics import (
     BalanceReport,
     DiagnosticsRow,
+    RowTable,
     TrajectoryRecorder,
     balance_report,
     csv_header,
-    csv_line,
     gradient_window_rule,
 )
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
@@ -179,9 +179,12 @@ class TheoremCheckReport:
 
 @dataclass
 class ScenarioResult:
+    """One run's outcome. `rows` is the recorder's RowTable: a sequence of
+    DiagnosticsRow kept as columns of 8-byte values."""
+
     config: ScenarioConfig
     report: BlowupReport
-    rows: List[DiagnosticsRow]
+    rows: Sequence[DiagnosticsRow]
     balance: Optional[BalanceReport]
     checks: List[TheoremCheckReport]
     out_dir: Optional[Path]
@@ -345,7 +348,9 @@ def _cache_path(cache_dir: Path, dim: int, n: int, box: float, tol: float) -> Pa
 
 def _load_ground_state(path: Path, grid: Grid, tol: float) -> GroundState:
     """Read a cached solve; ValueError names why the file does not fit."""
-    with np.load(path) as data:
+    # Opened here: when np.load raises on a damaged file, it drops the
+    # handle it opened without closing it.
+    with open(path, "rb") as fh, np.load(fh) as data:
         version = int(data["version"])
         if version != GS_CACHE_VERSION:
             raise ValueError(f"version {version}, expected {GS_CACHE_VERSION}")
@@ -462,8 +467,8 @@ def check_global_existence(
             PEAK_GRAD_RATIO_BOUND - peak_ratio,
             f"run stopped early: {report.stop_reason.value}",
         )
-    masses = [r.mass_sq for r in rows]
-    monotone = all(m2 < m1 for m1, m2 in zip(masses, masses[1:]))
+    masses = RowTable.of(rows).column("mass_sq")
+    monotone = bool(np.all(masses[1:] < masses[:-1]))
     if peak_ratio < PEAK_GRAD_RATIO_BOUND and monotone:
         return TheoremCheckReport(
             sid, claim, STATUS_PASS, PEAK_GRAD_RATIO_BOUND, peak_ratio,
@@ -646,10 +651,12 @@ def run_scenario(
     return ScenarioResult(cfg, report, rows, balance, checks, out_dir, outer_fraction)
 
 
-def _write_rows_csv(path: Path, rows: Sequence[DiagnosticsRow], dim: int) -> None:
-    lines = [csv_header(dim)]
-    lines += [csv_line(r, dim) for r in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_rows_csv(path: Path, rows: RowTable, dim: int) -> None:
+    """Write the header and then the table one line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(csv_header(dim) + "\n")
+        for line in rows.csv_lines():
+            fh.write(line + "\n")
 
 
 def _report_payload(cfg: ScenarioConfig, report: BlowupReport, outer_fraction: float) -> dict:

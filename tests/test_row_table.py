@@ -1,0 +1,246 @@
+"""The columnar row table: rows read back bit for bit, the ledgers over its
+columns equal the per-row loops they replaced, and a row costs 8 B a value."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import traced_peak
+
+from nlsdamp import (
+    ComplexField,
+    DampingProfile,
+    Grid,
+    RowTable,
+    SimConfig,
+    TrajectoryRecorder,
+    energy_balance_residual,
+    evolve,
+    gradient_window_rule,
+    mass_balance_residual,
+    mass_envelope_check,
+    momentum_balance_residual,
+)
+from nlsdamp.diagnostics import (
+    DiagnosticsRow,
+    EnvelopeCheck,
+    csv_header,
+    csv_line,
+    random_smooth_field,
+)
+
+
+# --- reference: the per-row loops the table's column arithmetic replaced ------
+
+def _loop_worst(defects, scale):
+    worst = 0.0
+    for defect in defects:
+        if not math.isfinite(defect):
+            return math.nan
+        worst = max(worst, defect)
+    return worst / scale if math.isfinite(scale) else math.nan
+
+
+def loop_mass_residual(rows):
+    if len(rows) < 2:
+        raise ValueError("need at least two diagnostics rows")
+    m0 = rows[0].mass_sq
+    if m0 == 0.0:
+        return 0.0
+
+    def defects():
+        for r1, r2 in zip(rows, rows[1:]):
+            dt = r2.time - r1.time
+            integral = 0.5 * dt * (r1.int_a_u2 + r2.int_a_u2)
+            yield abs(r2.mass_sq - r1.mass_sq + 2.0 * integral)
+
+    return _loop_worst(defects(), m0)
+
+
+def loop_energy_residual(rows):
+    if len(rows) < 2:
+        raise ValueError("need at least two diagnostics rows")
+    scale = max(1.0, abs(rows[0].energy))
+
+    def defects():
+        for r1, r2 in zip(rows, rows[1:]):
+            dt = r2.time - r1.time
+            integral = 0.5 * dt * (r1.h_value + r2.h_value)
+            yield abs(r2.energy - r1.energy - integral)
+
+    return _loop_worst(defects(), scale)
+
+
+def loop_momentum_residual(rows):
+    if len(rows) < 2:
+        raise ValueError("need at least two diagnostics rows")
+    scale = rows[0].mass_sq * math.sqrt(rows[0].grad_sq)
+    if scale == 0.0:
+        scale = 1.0
+    dim = len(rows[0].momentum)
+
+    def defects():
+        for r1, r2 in zip(rows, rows[1:]):
+            dt = r2.time - r1.time
+            for j in range(dim):
+                integral = 0.5 * dt * (r1.int_a_im_grad[j] + r2.int_a_im_grad[j])
+                yield abs(r2.momentum[j] - r1.momentum[j] + 2.0 * integral)
+
+    return _loop_worst(defects(), scale)
+
+
+def loop_envelope(rows, a):
+    if not rows:
+        raise ValueError("need at least one diagnostics row")
+    u0 = math.sqrt(rows[0].mass_sq)
+    eps = 1e-8 * u0
+    worst = math.inf
+    for r in rows:
+        val = math.sqrt(r.mass_sq)
+        upper = u0 * math.exp(a.sup_norm * r.time) + eps
+        lower = u0 * math.exp(-a.sup_norm * r.time) - eps
+        margins = (upper - val, val - lower)
+        if not all(map(math.isfinite, margins)):
+            return EnvelopeCheck(ok=False, worst=math.nan)
+        worst = min(worst, *margins)
+    return EnvelopeCheck(ok=worst >= 0.0, worst=worst)
+
+
+# --- helpers -------------------------------------------------------------------
+
+def _bits(row):
+    """The row's values as raw float64 bits, so NaN and -0.0 compare exactly."""
+    values = []
+    for value in dataclasses.astuple(row):
+        values += value if isinstance(value, tuple) else [value]
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _same(x, y):
+    if isinstance(x, EnvelopeCheck) and isinstance(y, EnvelopeCheck):
+        return x.ok == y.ok and _same(x.worst, y.worst)
+    if isinstance(x, float) and isinstance(y, float):
+        return x == y or (math.isnan(x) and math.isnan(y))
+    return x == y
+
+
+# Finite values near the ledgers' scales, the non-finite ones, signed zeros,
+# and any float at all.
+VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(),
+)
+
+
+@st.composite
+def row_lists(draw):
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kwargs = {}
+        for f in dataclasses.fields(DiagnosticsRow):
+            if f.name in ("momentum", "int_a_im_grad"):
+                kwargs[f.name] = tuple(draw(VALUES) for _ in range(dim))
+            else:
+                kwargs[f.name] = draw(VALUES)
+        rows.append(DiagnosticsRow(**kwargs))
+    return rows
+
+
+# --- tests ----------------------------------------------------------------------
+
+def _recorded_rows():
+    g = Grid(1, 64, 10.0)
+    a = DampingProfile.constant(g, 0.25)
+    rec = TrajectoryRecorder(a, gradient_window_rule(1.0))
+    u0 = ComplexField(g, random_smooth_field(g, np.random.default_rng(3)).values)
+    evolve(u0, a, SimConfig(dt0=1e-3, t_end=0.01, record_every=1), rec)
+    return rec
+
+
+def test_table_reads_back_every_row_bitwise():
+    rec = _recorded_rows()
+    table = rec.rows
+    assert isinstance(table, RowTable) and len(table) == 11
+    odd = dataclasses.replace(table[0], time=-0.0, energy=math.nan, momentum=(math.inf,))
+    rows = list(table) + [odd]
+    table.append(odd)
+    assert len(table) == len(rows)
+    for i, row in enumerate(rows):
+        assert _bits(table[i]) == _bits(row)
+        assert _bits(table[i - len(rows)]) == _bits(row)
+        assert csv_line(table[i], 1) == csv_line(row, 1)
+    assert [_bits(r) for r in table[2:9:3]] == [_bits(r) for r in rows[2:9:3]]
+    assert len(table[5:]) == len(rows) - 5 and len(table[:0]) == 0
+    for bad in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            table[bad]
+    assert list(table.csv_lines()) == [csv_line(r, 1) for r in rows]
+    assert table.names == tuple(csv_header(1).split(","))
+    mass = table.column("mass_sq")
+    assert mass.tolist() == [r.mass_sq for r in rows]
+    # A read-only view into the table, one value per row: no copy.
+    assert not mass.flags.writeable and not mass.flags.owndata
+    assert mass.strides == (8 * table.width,)
+
+
+def test_table_of_plain_rows_matches_recorded_table():
+    rec = _recorded_rows()
+    copy = RowTable.of(list(rec.rows))
+    assert RowTable.of(rec.rows) is rec.rows
+    assert copy.dim == 1
+    assert [_bits(r) for r in copy] == [_bits(r) for r in rec.rows]
+    with pytest.raises(ValueError):
+        RowTable.of([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=row_lists(), sup=st.floats(0.0, 3.0))
+def test_column_ledgers_equal_the_row_loops(rows, sup):
+    a = DampingProfile.constant(Grid(1, 16, 5.0), sup)
+    pairs = [
+        (mass_balance_residual, loop_mass_residual),
+        (energy_balance_residual, loop_energy_residual),
+        (momentum_balance_residual, loop_momentum_residual),
+    ]
+    for table_fn, loop_fn in pairs:
+        got, want = _outcome(table_fn, rows), _outcome(loop_fn, rows)
+        assert _same(got, want), (table_fn.__name__, got, want)
+        if len(rows) >= 2:
+            assert _same(_outcome(table_fn, RowTable.of(rows)), want)
+    got, want = _outcome(mass_envelope_check, rows, a), _outcome(loop_envelope, rows, a)
+    assert _same(got, want), (got, want)
+
+
+def test_recorded_row_retains_at_most_two_values_of_8_bytes_per_column():
+    g = Grid(1, 64, 10.0)
+    a = DampingProfile.constant(g, 0.25)
+    u0 = ComplexField(g, random_smooth_field(g, np.random.default_rng(4)).values)
+    dt = 1e-4
+
+    def recorded_peak(steps):
+        cfg = SimConfig(dt0=dt, t_end=steps * dt, record_every=1)
+        rec = TrajectoryRecorder(a, gradient_window_rule(1.0))
+        peak = traced_peak(lambda: evolve(u0, a, cfg, rec))
+        return len(rec.rows), peak
+
+    rows_short, peak_short = recorded_peak(10)
+    rows_long, peak_long = recorded_peak(410)
+    assert rows_long - rows_short >= 400
+    per_row = (peak_long - peak_short) / (rows_long - rows_short)
+    columns = len(csv_header(1).split(","))
+    print(f"peak growth {per_row:.0f} B per row of {columns} columns")
+    assert per_row <= 2 * 8 * columns

@@ -1,5 +1,6 @@
 """Config parsing, field builders, claim-check gating, and the run catalog."""
 
+import gc
 import math
 import re
 import warnings
@@ -335,6 +336,16 @@ def test_ensure_ground_state_rejects_bad_cache(tmp_path, damage, reason):
         hit = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
     assert np.array_equal(hit.profile, first.profile)
 
+
+def test_truncated_cache_leaves_no_file_open(tmp_path):
+    ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("gs-v*.npz")
+    _truncate(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_ensure_ground_state_cache_keeps_close_parameters_apart(tmp_path):
