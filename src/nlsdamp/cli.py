@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .diagnostics import gn_ratio, random_smooth_field, sharp_gn_constant
-from .evolution import StopReason
 from .ground_state import ConvergenceError, pohozaev_residuals
-from .reporting import dump_json
+from .reporting import dump_json, format_float
 from .scenarios import (
-    STATUS_FAIL,
     ensure_ground_state,
     load_scenario_config,
     parse_suite_config_text,
@@ -66,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_profile_csv(path: Path, gs_obj) -> None:
-    from .reporting import format_float
-
     g = gs_obj.grid
     cols = [f"x_{j + 1}" for j in range(g.dim)] + ["q"]
     lines = [",".join(cols)]
@@ -112,12 +109,10 @@ def _cmd_ground_state(args: argparse.Namespace) -> int:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     cfg = load_scenario_config(args.config)
     if args.out is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, outputs=args.out)
     result = run_scenario(cfg)
     r = result.report
-    if r.stop_reason is StopReason.TAIL_UNRESOLVED and len(result.rows) <= 1:
+    if result.unresolved_at_start:
         print(
             "initial data is under-resolved on this grid: tail fraction "
             f"{result.rows[0].tail_fraction:.6g} > tail_threshold "
@@ -138,9 +133,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         print(f"check {check.claim}: {check.status} ({check.notes})")
     if result.out_dir is not None:
         print(f"outputs in   {result.out_dir}")
-    hard_fail = any(c.status == STATUS_FAIL for c in result.checks)
-    if not math.isfinite(r.terminal_mass_sq):
-        hard_fail = True
+    hard_fail = result.any_check_failed or not math.isfinite(r.terminal_mass_sq)
     return 1 if hard_fail else 0
 
 

@@ -88,7 +88,13 @@ class DiagnosticsRow:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Σ x·y over the grid, as one dot product."""
+    """Σ x·y over the grid, as one dot product.
+
+    A y that holds one value with stride 0 on every axis, as a vanishing
+    damping gradient does, gives y·Σx instead, so no full copy of it is made.
+    """
+    if not any(y.strides):
+        return float(y.flat[0]) * float(x.sum())
     return float(np.dot(x.ravel(), y.ravel()))
 
 

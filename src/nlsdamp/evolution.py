@@ -23,7 +23,6 @@ __all__ = [
     "SimConfig",
     "EvolutionState",
     "BlowupReport",
-    "strang_step",
     "evolve",
 ]
 
@@ -117,7 +116,6 @@ Sink = Callable[[EvolutionState, float, float], None]
 class _StrangKernel:
     """Free-flow phase and damping kick of the Strang step on one grid and damping.
 
-    Both stepping paths, `evolve` and `strang_step`, run this arithmetic.
     The free flow exp(-i|k|²h) is applied as one 1-D phase per axis,
     broadcast in place, so no full-grid complex exponential is formed; the
     per-axis phases of the last two h are kept. The kick coefficients are
@@ -140,7 +138,7 @@ class _StrangKernel:
         self._kick_dt: Optional[float] = None
         if a is not None:
             # a(x) = a_values[a_index], raveled; the profile keeps the table,
-            # so kernels built on one profile, as strang_step's are, share it.
+            # so kernels built on one profile share it.
             self._a_values, self._a_index = a.distinct_values
             self._amp = np.empty(grid.size)
             self._half_coef = np.empty(grid.size)
@@ -249,19 +247,6 @@ def _spectral_norms(
     if tail_w is not None and total > 0.0:
         tail = float(np.dot(spec2, tail_w)) / total
     return total, grad_sq, tail
-
-
-def strang_step(state: EvolutionState, a: DampingProfile, dt: float) -> EvolutionState:
-    """Second-order composition: half linear, full nonlinear/damping, half linear.
-
-    The same kernel as `evolve`, with the closing half phase applied at once
-    instead of merged into the next step.
-    """
-    kernel = _StrangKernel(state.field.grid, a)
-    u_hat, _ = kernel.advance(kernel.fft(state.field.values), 0.5 * dt, dt)
-    kernel.phase(u_hat, 0.5 * dt)
-    out = ComplexField(state.field.grid, kernel.ifft(u_hat, out=u_hat))
-    return EvolutionState(state.time + dt, out, state.step_count + 1)
 
 
 def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:

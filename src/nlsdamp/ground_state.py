@@ -21,7 +21,6 @@ __all__ = [
     "ConvergenceError",
     "GroundState",
     "PohozaevResiduals",
-    "closed_form_q_1d",
     "pde_residual",
     "pohozaev_residuals",
     "solve_ground_state",
@@ -60,14 +59,6 @@ class GroundState:
     def field(self) -> ComplexField:
         """The profile as a complex state, ready for evolution."""
         return ComplexField(self.grid, self.profile.astype(np.complex128))
-
-
-def closed_form_q_1d(x) -> np.ndarray:
-    """Explicit one-dimensional profile (3 sech²(2x))^(1/4)."""
-    x = np.abs(np.asarray(x, dtype=np.float64))
-    # sech(2x) written via decaying exponentials so large |x| cannot overflow
-    sech = 2.0 * np.exp(-2.0 * x) / (1.0 + np.exp(-4.0 * x))
-    return (3.0 * sech * sech) ** 0.25
 
 
 def _half_spectrum(grid: Grid):

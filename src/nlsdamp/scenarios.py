@@ -8,9 +8,9 @@ import re
 import tempfile
 import warnings
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .diagnostics import (
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
 from .ground_state import GroundState, solve_ground_state
 from .reporting import dump_json, format_float
-from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite
+from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite, _zero_view
 
 __all__ = [
     "InitialSpec",
@@ -41,9 +41,8 @@ __all__ = [
     "build_initial",
     "ensure_ground_state",
     "run_scenario",
-    "check_global_existence",
-    "check_blowup_time_bound",
-    "check_concentration",
+    "CLAIMS",
+    "check_claim",
     "catalog",
     "run_suite",
 ]
@@ -190,6 +189,21 @@ class ScenarioResult:
     out_dir: Optional[Path]
     initial_outer_mass_fraction: float
 
+    @property
+    def unresolved_at_start(self) -> bool:
+        """The tail guard stopped the run at t = 0, before any step."""
+        return self.report.stop_reason is StopReason.TAIL_UNRESOLVED and len(self.rows) <= 1
+
+    @property
+    def any_check_failed(self) -> bool:
+        """A claim check failed: `nlsdamp suite` and `nlsdamp evolve` then exit 1."""
+        return any(c.status == STATUS_FAIL for c in self.checks)
+
+    @property
+    def check_summary(self) -> str:
+        """`claim=status` for each check, joined by ";", or "none"."""
+        return ";".join(f"{c.claim}={c.status}" for c in self.checks) or "none"
+
 
 # --- configuration files ---------------------------------------------------
 
@@ -320,7 +334,7 @@ def build_damping(grid: Grid, spec: DampingSpec) -> DampingProfile:
     x1 = grid.coords[0]
     vals = spec.amplitude * np.cos(kwave * x1)
     g1 = -spec.amplitude * kwave * np.sin(kwave * x1)
-    grads = (g1,) + tuple(np.zeros(grid.shape) for _ in range(grid.dim - 1))
+    grads = (g1,) + (_zero_view(grid),) * (grid.dim - 1)
     return DampingProfile(grid, vals, grads)
 
 
@@ -426,127 +440,84 @@ def ensure_ground_state(
     return gs
 
 
-# --- claim checks ------------------------------------------------------------
+# --- claims ------------------------------------------------------------------
 
-def check_global_existence(
-    report: BlowupReport,
-    rows: Sequence[DiagnosticsRow],
-    cfg: ScenarioConfig,
-    gs: GroundState,
-) -> TheoremCheckReport:
+# (status, bound_value, observed, margin, notes) of a claim that applies.
+Verdict = Tuple[str, float, float, float, str]
+# A claim's evaluation: the reason it does not apply to the run, or its verdict.
+Evaluation = Callable[
+    [BlowupReport, Sequence[DiagnosticsRow], ScenarioConfig, GroundState], Union[str, Verdict]
+]
+
+
+def _global_existence(report, rows, cfg, gs) -> Union[str, Verdict]:
     """Pointwise-positive damping with at-most-critical mass must stay global.
 
     Pass needs: no blow-up, horizon reached, peak gradient growth below
     10², and strictly decreasing recorded mass. A resolution-guard stop is
     inconclusive; a detected blow-up or broken monotonicity is a failure.
     """
-    sid = cfg.scenario_id
-    claim = "global_existence"
     if not cfg.damping.pointwise_positive:
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan,
-            "damping is not pointwise positive",
-        )
-    u0_norm = math.sqrt(rows[0].mass_sq)
-    q_norm = math.sqrt(gs.mass_sq)
-    if u0_norm > q_norm * (1.0 + 1e-10):
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan,
-            "initial mass above critical",
-        )
+        return "damping is not pointwise positive"
+    if math.sqrt(rows[0].mass_sq) > math.sqrt(gs.mass_sq) * (1.0 + 1e-10):
+        return "initial mass above critical"
+    bound = PEAK_GRAD_RATIO_BOUND
     peak_ratio = report.peak_grad_sq / rows[0].grad_sq if rows[0].grad_sq > 0 else 0.0
     if report.blew_up:
-        return TheoremCheckReport(
-            sid, claim, STATUS_FAIL, PEAK_GRAD_RATIO_BOUND, peak_ratio,
-            PEAK_GRAD_RATIO_BOUND - peak_ratio,
-            "blow-up detected under global-existence hypotheses",
-        )
-    if report.stop_reason is not StopReason.HORIZON_REACHED:
-        return TheoremCheckReport(
-            sid, claim, STATUS_INCONCLUSIVE, PEAK_GRAD_RATIO_BOUND, peak_ratio,
-            PEAK_GRAD_RATIO_BOUND - peak_ratio,
-            f"run stopped early: {report.stop_reason.value}",
-        )
-    masses = RowTable.of(rows).column("mass_sq")
-    monotone = bool(np.all(masses[1:] < masses[:-1]))
-    if peak_ratio < PEAK_GRAD_RATIO_BOUND and monotone:
-        return TheoremCheckReport(
-            sid, claim, STATUS_PASS, PEAK_GRAD_RATIO_BOUND, peak_ratio,
-            PEAK_GRAD_RATIO_BOUND - peak_ratio,
-            "horizon reached; mass strictly decreasing",
-        )
-    notes = []
-    if peak_ratio >= PEAK_GRAD_RATIO_BOUND:
-        notes.append(f"peak gradient ratio {peak_ratio:.3g} exceeds {PEAK_GRAD_RATIO_BOUND:g}")
-    if not monotone:
-        notes.append("recorded mass is not strictly decreasing")
-    return TheoremCheckReport(
-        sid, claim, STATUS_FAIL, PEAK_GRAD_RATIO_BOUND, peak_ratio,
-        PEAK_GRAD_RATIO_BOUND - peak_ratio, "; ".join(notes),
-    )
+        status, notes = STATUS_FAIL, "blow-up detected under global-existence hypotheses"
+    elif report.stop_reason is not StopReason.HORIZON_REACHED:
+        status, notes = STATUS_INCONCLUSIVE, f"run stopped early: {report.stop_reason.value}"
+    else:
+        masses = RowTable.of(rows).column("mass_sq")
+        monotone = bool(np.all(masses[1:] < masses[:-1]))
+        if peak_ratio < bound and monotone:
+            status, notes = STATUS_PASS, "horizon reached; mass strictly decreasing"
+        else:
+            problems = []
+            if peak_ratio >= bound:
+                problems.append(f"peak gradient ratio {peak_ratio:.3g} exceeds {bound:g}")
+            if not monotone:
+                problems.append("recorded mass is not strictly decreasing")
+            status, notes = STATUS_FAIL, "; ".join(problems)
+    return status, bound, peak_ratio, bound - peak_ratio, notes
 
 
-def check_blowup_time_bound(
-    report: BlowupReport,
-    rows: Sequence[DiagnosticsRow],
-    cfg: ScenarioConfig,
-    gs: GroundState,
-) -> TheoremCheckReport:
+def _blowup_time_bound(report, rows, cfg, gs) -> Union[str, Verdict]:
     """Detected blow-up from below-critical mass cannot beat the log bound.
 
     bound = (1/‖a‖∞) log(‖Q‖₂/‖u₀‖₂); pass iff t_detect exceeds it and the
     detection-time mass is consistent (at least 0.95·‖Q‖₂). Shortfalls are
     inconclusive, never failures.
     """
-    sid = cfg.scenario_id
-    claim = "blowup_time_bound"
     if not report.blew_up:
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan,
-            "no blow-up detected",
-        )
+        return "no blow-up detected"
     u0_norm = math.sqrt(rows[0].mass_sq)
     q_norm = math.sqrt(gs.mass_sq)
     sup = cfg.damping.sup_norm
     if not u0_norm < q_norm:
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, report.t_detect, math.nan,
-            "initial mass not below critical",
-        )
+        return "initial mass not below critical"
     if not sup > 0:
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, report.t_detect, math.nan,
-            "bound undefined for vanishing damping",
-        )
+        return "bound undefined for vanishing damping"
     bound = math.log(q_norm / u0_norm) / sup
     observed = report.t_detect
     margin = observed - bound
     terminal_norm = math.sqrt(report.terminal_mass_sq)
     mass_ok = terminal_norm >= MASS_CONSISTENCY_FRACTION * q_norm
     if margin > 0 and mass_ok:
-        return TheoremCheckReport(
-            sid, claim, STATUS_PASS, bound, observed, margin,
-            f"detection-time mass {terminal_norm:.6g} vs critical {q_norm:.6g}",
-        )
-    notes = []
+        notes = f"detection-time mass {terminal_norm:.6g} vs critical {q_norm:.6g}"
+        return STATUS_PASS, bound, observed, margin, notes
+    problems = []
     if margin <= 0:
-        notes.append("detection earlier than the bound at this resolution")
+        problems.append("detection earlier than the bound at this resolution")
     if not mass_ok:
-        notes.append(
+        problems.append(
             f"detection-time mass {terminal_norm:.6g} below "
             f"{MASS_CONSISTENCY_FRACTION:g} of critical"
         )
-    return TheoremCheckReport(
-        sid, claim, STATUS_INCONCLUSIVE, bound, observed, margin, "; ".join(notes),
-    )
+    return STATUS_INCONCLUSIVE, bound, observed, margin, "; ".join(problems)
 
 
-def check_concentration(
-    report: BlowupReport,
-    rows: Sequence[DiagnosticsRow],
-    cfg: ScenarioConfig,
-    gs: GroundState,
-) -> TheoremCheckReport:
+def _concentration(report, rows, cfg, gs) -> Union[str, Verdict]:
     """Windowed mass near detection must reach the critical mass fraction.
 
     Scans rows in the final decade of ‖∇u‖ growth (factor cfg.conc_decade,
@@ -555,41 +526,50 @@ def check_concentration(
     are below two grid spacings or w·‖∇u‖ shows no growth, since the claim
     is only meaningful for resolvable, diverging windows.
     """
-    sid = cfg.scenario_id
-    claim = "concentration"
-    threshold = cfg.conc_pass_threshold
     if not report.blew_up:
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan,
-            "no blow-up detected",
-        )
+        return "no blow-up detected"
     grad_norms = [math.sqrt(r.grad_sq) for r in rows]
     g_max = max(grad_norms)
     final = [r for r, gn in zip(rows, grad_norms) if gn >= g_max / cfg.conc_decade]
     if len(final) < 5:
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan,
-            f"only {len(final)} rows in the final decade of gradient growth",
-        )
+        return f"only {len(final)} rows in the final decade of gradient growth"
     spacing = 2.0 * cfg.box / cfg.n
     if any(r.window_radius < 2.0 * spacing for r in final):
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan,
-            "window-rule guard: window below two grid spacings near detection",
-        )
+        return "window-rule guard: window below two grid spacings near detection"
     products = [r.window_radius * math.sqrt(r.grad_sq) for r in final]
     if not products[-1] > 1.05 * products[0]:
-        return TheoremCheckReport(
-            sid, claim, STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan,
-            "window-rule guard: w·‖∇u‖ shows no growth toward detection",
-        )
+        return "window-rule guard: w·‖∇u‖ shows no growth toward detection"
+    threshold = cfg.conc_pass_threshold
     observed = max(r.concentration_mass for r in final) / gs.mass_sq
-    margin = observed - threshold
     if observed >= threshold:
         status, notes = STATUS_PASS, f"last-row fraction {final[-1].concentration_mass / gs.mass_sq:.6g}"
     else:
         status, notes = STATUS_INCONCLUSIVE, "windowed mass below threshold at this resolution"
-    return TheoremCheckReport(sid, claim, status, threshold, observed, margin, notes)
+    return status, threshold, observed, observed - threshold, notes
+
+
+# The paper's claims, in the order a run reports them. Adding a claim is one
+# evaluation and one entry here.
+CLAIMS: Dict[str, Evaluation] = {
+    "global_existence": _global_existence,
+    "blowup_time_bound": _blowup_time_bound,
+    "concentration": _concentration,
+}
+
+
+def check_claim(
+    claim: str,
+    report: BlowupReport,
+    rows: Sequence[DiagnosticsRow],
+    cfg: ScenarioConfig,
+    gs: GroundState,
+) -> TheoremCheckReport:
+    """Evaluate one claim of CLAIMS on a run; a claim that does not apply is
+    not_applicable, with NaN numbers and the reason as its notes."""
+    outcome = CLAIMS[claim](report, rows, cfg, gs)
+    if isinstance(outcome, str):
+        outcome = (STATUS_NOT_APPLICABLE, math.nan, math.nan, math.nan, outcome)
+    return TheoremCheckReport(cfg.scenario_id, claim, *outcome)
 
 
 # --- running -----------------------------------------------------------------
@@ -627,28 +607,21 @@ def run_scenario(
     recorder = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq))
     report = evolve(u0, a, cfg.sim, recorder, ref_grad_sq=gs.grad_sq)
     rows = recorder.rows
-
-    unresolved_at_start = (
-        report.stop_reason is StopReason.TAIL_UNRESOLVED and len(rows) <= 1
-    )
     balance = balance_report(rows, a) if len(rows) >= 2 else None
-    checks: List[TheoremCheckReport] = []
-    if not unresolved_at_start and rows:
-        for check in (check_global_existence, check_blowup_time_bound, check_concentration):
-            result = check(report, rows, cfg, gs)
-            if result.status != STATUS_NOT_APPLICABLE:
-                checks.append(result)
+    result = ScenarioResult(cfg, report, rows, balance, [], None, outer_fraction)
+    if rows and not result.unresolved_at_start:
+        checks = (check_claim(claim, report, rows, cfg, gs) for claim in CLAIMS)
+        result.checks = [c for c in checks if c.status != STATUS_NOT_APPLICABLE]
 
-    out_dir: Optional[Path] = None
     if write_outputs:
-        out_dir = Path(cfg.outputs) / cfg.scenario_id
+        out_dir = result.out_dir = Path(cfg.outputs) / cfg.scenario_id
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_rows_csv(out_dir / "rows.csv", rows, cfg.dim)
-        dump_json(_report_payload(cfg, report, outer_fraction), out_dir / "report.json")
+        dump_json(_report_payload(result), out_dir / "report.json")
         if balance is not None:
-            dump_json(_balance_payload(balance), out_dir / "balance.json")
-        dump_json([_check_payload(c) for c in checks], out_dir / "checks.json")
-    return ScenarioResult(cfg, report, rows, balance, checks, out_dir, outer_fraction)
+            dump_json(asdict(balance), out_dir / "balance.json")
+        dump_json([asdict(c) for c in result.checks], out_dir / "checks.json")
+    return result
 
 
 def _write_rows_csv(path: Path, rows: RowTable, dim: int) -> None:
@@ -659,7 +632,9 @@ def _write_rows_csv(path: Path, rows: RowTable, dim: int) -> None:
             fh.write(line + "\n")
 
 
-def _report_payload(cfg: ScenarioConfig, report: BlowupReport, outer_fraction: float) -> dict:
+def _report_payload(result: ScenarioResult) -> dict:
+    """report.json: six config keys, the BlowupReport fields, the outer mass fraction."""
+    cfg, report = result.config, result.report
     return {
         "scenario_id": cfg.scenario_id,
         "dim": cfg.dim,
@@ -667,36 +642,9 @@ def _report_payload(cfg: ScenarioConfig, report: BlowupReport, outer_fraction: f
         "box": cfg.box,
         "initial_data": cfg.initial.kind,
         "damping": cfg.damping.kind,
-        "blew_up": report.blew_up,
-        "t_detect": report.t_detect,
-        "peak_grad_sq": report.peak_grad_sq,
-        "scale_at_detect": report.scale_at_detect,
+        **asdict(report),
         "stop_reason": report.stop_reason.value,
-        "terminal_mass_sq": report.terminal_mass_sq,
-        "boundary_mass_flag": report.boundary_mass_flag,
-        "initial_outer_mass_fraction": outer_fraction,
-    }
-
-
-def _balance_payload(balance: BalanceReport) -> dict:
-    return {
-        "mass_residual": balance.mass_residual,
-        "energy_residual": balance.energy_residual,
-        "momentum_residual": balance.momentum_residual,
-        "envelope_ok": balance.envelope_ok,
-        "max_envelope_violation": balance.max_envelope_violation,
-    }
-
-
-def _check_payload(check: TheoremCheckReport) -> dict:
-    return {
-        "scenario_id": check.scenario_id,
-        "claim": check.claim,
-        "status": check.status,
-        "bound_value": check.bound_value,
-        "observed": check.observed,
-        "margin": check.margin,
-        "notes": check.notes,
+        "initial_outer_mass_fraction": result.initial_outer_mass_fraction,
     }
 
 
@@ -770,8 +718,15 @@ def run_suite(
             )
         results.append(run_scenario(cfg, gs=gs_cache[key]))
     _write_suite_summary(Path(out_root) / "summary.csv", results)
-    failed = any(c.status == STATUS_FAIL for r in results for c in r.checks)
+    failed = any(r.any_check_failed for r in results)
     return results, (1 if failed else 0)
+
+
+def _summary_cell(value) -> str:
+    """A summary.csv cell: null for a missing value, true/false, or 17 digits."""
+    if value is None:
+        return "null"
+    return str(value).lower() if isinstance(value, bool) else format_float(value)
 
 
 def _write_suite_summary(path: Path, results: Sequence[ScenarioResult]) -> None:
@@ -781,29 +736,12 @@ def _write_suite_summary(path: Path, results: Sequence[ScenarioResult]) -> None:
     )
     lines = [header]
     for r in results:
-        checks = ";".join(f"{c.claim}={c.status}" for c in r.checks) or "none"
-        if r.balance is not None:
-            bal = [
-                format_float(r.balance.mass_residual),
-                format_float(r.balance.energy_residual),
-                format_float(r.balance.momentum_residual),
-                str(r.balance.envelope_ok).lower(),
-            ]
-        else:
-            bal = ["null", "null", "null", "null"]
-        lines.append(
-            ",".join(
-                [
-                    r.config.scenario_id,
-                    r.report.stop_reason.value,
-                    str(r.report.blew_up).lower(),
-                    format_float(r.report.t_detect),
-                    format_float(r.report.peak_grad_sq),
-                    *bal,
-                    checks,
-                ]
-            )
-        )
+        b = r.balance
+        ledger = (None,) * 4 if b is None else (
+            b.mass_residual, b.energy_residual, b.momentum_residual, b.envelope_ok)
+        values = (r.report.blew_up, r.report.t_detect, r.report.peak_grad_sq, *ledger)
+        lines.append(",".join([r.config.scenario_id, r.report.stop_reason.value,
+                               *map(_summary_cell, values), r.check_summary]))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -812,14 +750,13 @@ def summary_table(results: Sequence[ScenarioResult]) -> str:
     """Aligned text table for terminal output."""
     rows = [("scenario", "stop", "blew_up", "t_detect", "checks")]
     for r in results:
-        checks = ";".join(f"{c.claim}={c.status}" for c in r.checks) or "none"
         rows.append(
             (
                 r.config.scenario_id,
                 r.report.stop_reason.value,
                 str(r.report.blew_up).lower(),
                 f"{r.report.t_detect:.4f}",
-                checks,
+                r.check_summary,
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]

@@ -146,7 +146,8 @@ class DampingProfile:
 
     The gradient is supplied in closed form alongside a(x) so that no
     numerical differentiation enters the flux terms; consistency with
-    spectral differentiation is checked by the test suite.
+    spectral differentiation is checked by the test suite. A component that
+    vanishes is a read-only `_zero_view`, not a full-grid array.
     """
 
     grid: Grid
@@ -191,13 +192,18 @@ class DampingProfile:
 
     @classmethod
     def zero(cls, grid: Grid) -> "DampingProfile":
-        z = np.zeros(grid.shape)
-        return cls(grid, z, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
+        return cls.constant(grid, 0.0)
 
     @classmethod
     def constant(cls, grid: Grid, amplitude: float) -> "DampingProfile":
         vals = np.full(grid.shape, float(amplitude))
-        return cls(grid, vals, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
+        return cls(grid, vals, (_zero_view(grid),) * grid.dim)
+
+
+def _zero_view(grid: Grid) -> np.ndarray:
+    """Read-only zeros of the grid's shape, one value broadcast with stride 0,
+    as a gradient component that vanishes is stored."""
+    return np.broadcast_to(0.0, grid.shape)
 
 
 def critical_power(abs2: np.ndarray, dim: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Session fixtures: the two reference ground states and one full catalog run,
-and `traced_peak`, the allocation probe of the memory tests."""
+and `traced_peak` and `traced_held`, the allocation probes of the memory tests."""
 
 import tracemalloc
 
@@ -40,5 +40,15 @@ def traced_peak(fn):
     try:
         fn()
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_held(fn):
+    """Bytes that numpy and Python still hold for fn()'s result when fn() returns."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 -- kept alive while the memory is read
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import closed_form_q_1d, strang_step
+
 import nlsdamp
 from nlsdamp import (
     DampingProfile,
@@ -22,13 +24,11 @@ from nlsdamp import (
     ScenarioConfig,
     SimConfig,
     StopReason,
-    closed_form_q_1d,
     gn_ratio,
     pohozaev_residuals,
     run_scenario,
     sharp_gn_constant,
     solve_ground_state,
-    strang_step,
 )
 from nlsdamp.diagnostics import random_smooth_field
 from nlsdamp.evolution import EvolutionState

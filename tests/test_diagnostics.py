@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import traced_held, traced_peak
+from reference import closed_form_q_1d
 
 from nlsdamp import (
     BalanceReport,
@@ -23,7 +24,6 @@ from nlsdamp import (
     balance_report,
     build_damping,
     build_initial,
-    closed_form_q_1d,
     compute_row,
     concentration_mass,
     energy_balance_residual,
@@ -41,6 +41,7 @@ from nlsdamp import (
 from nlsdamp.cli import main
 from nlsdamp.diagnostics import (
     DiagnosticsRow,
+    _dot,
     csv_header,
     csv_line,
     random_smooth_field,
@@ -352,6 +353,41 @@ def test_row_temporaries_stay_below_four_grid_arrays(dim, n):
     peak = traced_peak(lambda: compute_row(state, a, rule))
     print(f"row peak {peak / values.nbytes:.2f} complex grid arrays")
     assert peak < 4.0 * values.nbytes
+
+
+def test_zero_damping_holds_no_gradient_arrays():
+    # Each vanishing gradient component is one zero broadcast with stride 0,
+    # so the zero profile at 64³ holds a(x) alone, 2 MiB (8 MiB with three
+    # full-grid zero gradients).
+    g = Grid(3, 64, 10.0)
+    held = traced_held(lambda: DampingProfile.zero(g))
+    print(f"zero profile holds {held / 2**20:.2f} MiB")
+    assert held <= 2.1 * 2**20
+    for grad in DampingProfile.zero(g).gradient_values:
+        assert grad.strides == (0, 0, 0)
+        assert not grad.flags.writeable
+
+
+def test_dot_reads_a_zero_gradient_without_copying_it():
+    g = Grid(3, 32, 10.0)
+    x = np.random.default_rng(3).standard_normal(g.shape)
+    zero = DampingProfile.zero(g).gradient_values[0]
+    assert _dot(x, zero) == 0.0
+    assert traced_peak(lambda: _dot(x, zero)) < 0.1 * x.nbytes
+
+
+def test_zero_damping_row_peak_at_64_cubed():
+    # A warmed 3-D row on zero damping peaks where it did with full-grid zero
+    # gradients: 2.047 complex grid arrays.
+    g = Grid(3, 64, 10.0)
+    a = DampingProfile.zero(g)
+    values = 3.0 * random_smooth_field(g, np.random.default_rng(5)).values
+    state = EvolutionState(0.0, ComplexField(g, values), 0, np.fft.fftn(values))
+    rule = gradient_window_rule(1.0)
+    compute_row(state, a, rule)
+    peak = traced_peak(lambda: compute_row(state, a, rule))
+    print(f"row peak {peak / values.nbytes:.3f} complex grid arrays")
+    assert peak <= 2.05 * values.nbytes
 
 
 def _nan_rows(name, value):

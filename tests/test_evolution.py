@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from reference import strang_step
 
 from nlsdamp import (
     ComplexField,
@@ -19,7 +20,6 @@ from nlsdamp import (
     build_damping,
     evolve,
     norms,
-    strang_step,
 )
 from nlsdamp.diagnostics import random_smooth_field
 from nlsdamp.evolution import (

@@ -5,6 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import strang_step
+
 from nlsdamp import (
     ComplexField,
     DampingProfile,
@@ -13,7 +15,6 @@ from nlsdamp import (
     SimConfig,
     StopReason,
     evolve,
-    strang_step,
 )
 from nlsdamp.diagnostics import random_smooth_field
 

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from reference import closed_form_q_1d
+
 from nlsdamp import (
     ComplexField,
     ConvergenceError,
     Grid,
     GroundState,
-    closed_form_q_1d,
     norms,
     pohozaev_residuals,
     solve_ground_state,

@@ -1,6 +1,7 @@
 """Config parsing, field builders, claim-check gating, and the run catalog."""
 
 import gc
+import json
 import math
 import re
 import warnings
@@ -31,6 +32,7 @@ from nlsdamp import (
 from nlsdamp.diagnostics import DiagnosticsRow, csv_header
 from nlsdamp.evolution import EvolutionState
 from nlsdamp.scenarios import (
+    CLAIMS,
     STATUS_FAIL,
     STATUS_INCONCLUSIVE,
     STATUS_NOT_APPLICABLE,
@@ -38,9 +40,7 @@ from nlsdamp.scenarios import (
     _SCENARIO_KEYS,
     _SUITE_KEYS,
     apply_suite_overrides,
-    check_blowup_time_bound,
-    check_concentration,
-    check_global_existence,
+    check_claim,
     parse_config_text,
     parse_suite_config_text,
     scenario_config_from_dict,
@@ -366,26 +366,26 @@ def test_check_global_existence_gating(gs_1d):
     m0 = 0.81 * gs_1d.mass_sq
     rows = [_row(0.0, m0), _row(1.0, 0.9 * m0), _row(2.0, 0.8 * m0)]
 
-    skip = check_global_existence(_report(), rows, _cfg(DampingSpec("zero")), gs_1d)
+    skip = check_claim("global_existence", _report(), rows, _cfg(DampingSpec("zero")), gs_1d)
     assert skip.status == STATUS_NOT_APPLICABLE
 
     heavy = [_row(0.0, 1.02 * gs_1d.mass_sq)]
-    above = check_global_existence(_report(), heavy, cfg, gs_1d)
+    above = check_claim("global_existence", _report(), heavy, cfg, gs_1d)
     assert above.status == STATUS_NOT_APPLICABLE
 
-    blew = check_global_existence(
+    blew = check_claim("global_existence",
         _report(blew_up=True, stop=StopReason.TAIL_UNRESOLVED), rows, cfg, gs_1d)
     assert blew.status == STATUS_FAIL
 
-    early = check_global_existence(
+    early = check_claim("global_existence",
         _report(stop=StopReason.TAIL_UNRESOLVED), rows, cfg, gs_1d)
     assert early.status == STATUS_INCONCLUSIVE
 
-    good = check_global_existence(_report(peak_grad_sq=2.0), rows, cfg, gs_1d)
+    good = check_claim("global_existence", _report(peak_grad_sq=2.0), rows, cfg, gs_1d)
     assert good.status == STATUS_PASS
 
     wobble = [_row(0.0, m0), _row(1.0, 0.9 * m0), _row(2.0, 0.95 * m0)]
-    broken = check_global_existence(_report(peak_grad_sq=2.0), wobble, cfg, gs_1d)
+    broken = check_claim("global_existence", _report(peak_grad_sq=2.0), wobble, cfg, gs_1d)
     assert broken.status == STATUS_FAIL
     assert "not strictly decreasing" in broken.notes
 
@@ -397,18 +397,18 @@ def test_check_blowup_time_bound_gating(gs_1d):
     rows = [_row(0.0, m0)]
     bound = math.log(1.0 / 0.9)
 
-    skip = check_blowup_time_bound(_report(), rows, cfg, gs_1d)
+    skip = check_claim("blowup_time_bound", _report(), rows, cfg, gs_1d)
     assert skip.status == STATUS_NOT_APPLICABLE
 
     heavy = [_row(0.0, gs_1d.mass_sq)]
-    above = check_blowup_time_bound(_report(blew_up=True), heavy, cfg, gs_1d)
+    above = check_claim("blowup_time_bound", _report(blew_up=True), heavy, cfg, gs_1d)
     assert above.status == STATUS_NOT_APPLICABLE
 
-    undamped = check_blowup_time_bound(_report(blew_up=True), rows,
-                                       _cfg(DampingSpec("zero")), gs_1d)
+    undamped = check_claim("blowup_time_bound", _report(blew_up=True), rows,
+                           _cfg(DampingSpec("zero")), gs_1d)
     assert undamped.status == STATUS_NOT_APPLICABLE
 
-    ok = check_blowup_time_bound(
+    ok = check_claim("blowup_time_bound",
         _report(blew_up=True, t_detect=0.3, stop=StopReason.TAIL_UNRESOLVED,
                 terminal_mass_sq=gs_1d.mass_sq),
         rows, cfg, gs_1d)
@@ -416,12 +416,12 @@ def test_check_blowup_time_bound_gating(gs_1d):
     assert ok.bound_value == pytest.approx(bound, rel=1e-12)
     assert ok.margin == pytest.approx(0.3 - bound, rel=1e-9)
 
-    early = check_blowup_time_bound(
+    early = check_claim("blowup_time_bound",
         _report(blew_up=True, t_detect=0.05, terminal_mass_sq=gs_1d.mass_sq),
         rows, cfg, gs_1d)
     assert early.status == STATUS_INCONCLUSIVE
 
-    light = check_blowup_time_bound(
+    light = check_claim("blowup_time_bound",
         _report(blew_up=True, t_detect=0.3,
                 terminal_mass_sq=0.25 * gs_1d.mass_sq),
         rows, cfg, gs_1d)
@@ -429,26 +429,36 @@ def test_check_blowup_time_bound_gating(gs_1d):
     assert "below" in light.notes
 
 
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_every_claim_skips_an_undamped_run_without_blowup(claim, catalog_results, gs_1d):
+    result = catalog_results["by_id"]["soliton_free"]
+    assert result.config.damping.kind == "zero"
+    assert not result.report.blew_up
+    check = check_claim(claim, result.report, result.rows, result.config, gs_1d)
+    assert check.status == STATUS_NOT_APPLICABLE
+    assert check.notes
+
+
 def test_check_concentration_gating(gs_1d):
     cfg = _cfg(DampingSpec("zero"),
                initial=InitialSpec("scaled_ground_state", scale=1.2))
     blew = _report(blew_up=True, stop=StopReason.TAIL_UNRESOLVED)
 
-    calm = check_concentration(_report(), [], cfg, gs_1d)
+    calm = check_claim("concentration", _report(), [], cfg, gs_1d)
     assert calm.status == STATUS_NOT_APPLICABLE
 
     sparse = [_row(0.0, 1.0, grad_sq=1.0), _row(1.0, 1.0, grad_sq=1e8)]
-    few = check_concentration(blew, sparse, cfg, gs_1d)
+    few = check_claim("concentration", blew, sparse, cfg, gs_1d)
     assert few.status == STATUS_NOT_APPLICABLE
     assert "rows" in few.notes
 
     tiny_w = [_row(0.1 * i, 1.0, grad_sq=4.0, window_radius=0.1) for i in range(6)]
-    guard = check_concentration(blew, tiny_w, cfg, gs_1d)
+    guard = check_claim("concentration", blew, tiny_w, cfg, gs_1d)
     assert guard.status == STATUS_NOT_APPLICABLE
     assert "window-rule guard" in guard.notes
 
     flat = [_row(0.1 * i, 1.0, grad_sq=4.0, window_radius=0.5) for i in range(6)]
-    stalled = check_concentration(blew, flat, cfg, gs_1d)
+    stalled = check_claim("concentration", blew, flat, cfg, gs_1d)
     assert stalled.status == STATUS_NOT_APPLICABLE
     assert "no growth" in stalled.notes
 
@@ -457,7 +467,7 @@ def test_check_concentration_gating(gs_1d):
              concentration_mass=0.95 * gs_1d.mass_sq)
         for i in range(6)
     ]
-    good = check_concentration(blew, growing, cfg, gs_1d)
+    good = check_claim("concentration", blew, growing, cfg, gs_1d)
     assert good.status == STATUS_PASS
     assert good.observed == pytest.approx(0.95, rel=1e-12)
 
@@ -466,7 +476,7 @@ def test_check_concentration_gating(gs_1d):
              concentration_mass=0.5 * gs_1d.mass_sq)
         for i in range(6)
     ]
-    low = check_concentration(blew, weak, cfg, gs_1d)
+    low = check_claim("concentration", blew, weak, cfg, gs_1d)
     assert low.status == STATUS_INCONCLUSIVE
 
 
@@ -611,3 +621,33 @@ def test_suite_check_composition(catalog_results):
     assert claims("collapse_free_1p2") == ["concentration"]
     assert claims("bound_negative_0p9") == ["blowup_time_bound", "concentration"]
     assert claims("bound_negative_0p99") == ["blowup_time_bound", "concentration"]
+
+
+def test_output_schemas(catalog_results):
+    # The JSON files follow the dataclass fields, so a reordered field would
+    # reorder a file; these are the key lists the outputs have always had.
+    out = catalog_results["root"] / "bound_negative_0p9"
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == [
+        "scenario_id", "dim", "n", "box", "initial_data", "damping",
+        "blew_up", "t_detect", "peak_grad_sq", "scale_at_detect", "stop_reason",
+        "terminal_mass_sq", "boundary_mass_flag", "initial_outer_mass_fraction",
+    ]
+    balance = json.loads((out / "balance.json").read_text())
+    assert list(balance) == [
+        "mass_residual", "energy_residual", "momentum_residual",
+        "envelope_ok", "max_envelope_violation",
+    ]
+    checks = json.loads((out / "checks.json").read_text())
+    assert len(checks) == 2
+    for entry in checks:
+        assert list(entry) == [
+            "scenario_id", "claim", "status", "bound_value", "observed", "margin", "notes",
+        ]
+    summary = (catalog_results["root"] / "summary.csv").read_text().splitlines()
+    assert summary[0] == (
+        "scenario_id,stop_reason,blew_up,t_detect,peak_grad_sq,"
+        "mass_residual,energy_residual,momentum_residual,envelope_ok,checks"
+    )
+    for line, r in zip(summary[1:], catalog_results["results"]):
+        assert line.rsplit(",", 1)[1] == r.check_summary

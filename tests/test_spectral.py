@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from reference import closed_form_q_1d
+
 from nlsdamp import (
     ComplexField,
     DampingProfile,
     Grid,
-    closed_form_q_1d,
     norms,
 )
 
