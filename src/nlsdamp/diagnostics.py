@@ -8,18 +8,31 @@ import math
 import struct
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Callable, Iterator, List, Sequence, Tuple, Union, get_origin, get_type_hints
+from typing import (
+    Callable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
-from .evolution import EvolutionState, _spectral_norms
+from .evolution import EvolutionState
 from .reporting import format_float
-from .spectral import ComplexField, DampingProfile, Grid, norms
+from .spectral import ComplexField, DampingProfile, Grid, critical_power, norms
 
 __all__ = [
     "WindowRule",
     "gradient_window_rule",
     "DiagnosticsRow",
+    "block_size",
+    "SnapshotBlock",
     "compute_row",
     "TrajectoryRecorder",
     "RowTable",
@@ -33,6 +46,7 @@ __all__ = [
     "BalanceReport",
     "balance_report",
     "ConcentrationResult",
+    "DensityBlock",
     "concentration_mass",
     "gn_ratio",
     "sharp_gn_constant",
@@ -87,15 +101,62 @@ class DiagnosticsRow:
     window_radius: float = field(metadata={"csv": "window_w"})
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Σ x·y over the grid, as one dot product.
+# A block of rows holds at most this many snapshots and this many bytes of
+# spectra: 16 on a 1-D 512 grid, 1 on 128² and 64³, where each row already
+# works on arrays large enough to amortize numpy's per-call cost.
+BLOCK_SNAPSHOTS = 16
+BLOCK_BYTES = 256 * 1024
 
-    A y that holds one value with stride 0 on every axis, as a vanishing
-    damping gradient does, gives y·Σx instead, so no full copy of it is made.
+
+def block_size(grid: Grid) -> int:
+    """Snapshots per block of rows on `grid`, from 1 to BLOCK_SNAPSHOTS."""
+    return max(1, min(BLOCK_SNAPSHOTS, BLOCK_BYTES // (16 * grid.size)))
+
+
+@dataclass(frozen=True)
+class SnapshotBlock:
+    """k snapshots on one grid, along a leading axis: the inputs of k rows.
+
+    `meta` is (k, 3), holding t, dt_used and tail_fraction of each snapshot;
+    `values` and `spectra` are (k, *grid.shape), each field and its FFT û.
     """
+
+    grid: Grid
+    meta: np.ndarray
+    values: np.ndarray
+    spectra: np.ndarray
+
+    @classmethod
+    def of(
+        cls, state: EvolutionState, dt_used: float = 0.0, tail_fraction: float = 0.0
+    ) -> "SnapshotBlock":
+        """The block of one: views of the state's field and spectrum, no copy.
+
+        The spectrum is transformed from the field when the state has none.
+        """
+        values = state.field.values
+        spectrum = state.spectrum if state.spectrum is not None else np.fft.fftn(values)
+        meta = np.array([[state.time, dt_used, tail_fraction]])
+        return cls(state.field.grid, meta, values[None], spectrum[None])
+
+
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Σ x over the grid axes, one sum per snapshot of the block x."""
+    return x.reshape(x.shape[0], -1).sum(axis=1)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Σ x·y over the grid, one sum per snapshot: x is a block (k, *shape),
+    or one snapshot, the block of one; y is one grid array.
+
+    The sums are one matrix-vector product. A y that holds one value with
+    stride 0 on every axis, as a vanishing damping gradient does, gives
+    y·Σx instead, so no full copy of it is made.
+    """
+    rows = x.reshape(-1, y.size)
     if not any(y.strides):
-        return float(y.flat[0]) * float(x.sum())
-    return float(np.dot(x.ravel(), y.ravel()))
+        return float(y.flat[0]) * rows.sum(axis=1)
+    return rows @ y.ravel()
 
 
 def _abs2(v: np.ndarray) -> np.ndarray:
@@ -106,106 +167,174 @@ def _abs2(v: np.ndarray) -> np.ndarray:
 
 
 def compute_row(
-    state: EvolutionState,
+    snapshots: Union[SnapshotBlock, EvolutionState],
     a: DampingProfile,
     w_rule: WindowRule,
     dt_used: float = 0.0,
     tail_fraction: float = 0.0,
-) -> DiagnosticsRow:
-    """Evaluate every diagnostic at one snapshot.
+) -> np.ndarray:
+    """Evaluate every diagnostic at each snapshot of a block.
+
+    Returns the rows as a (k, width) float64 array in rows.csv column order
+    (a transposed view of the column table).
+    `snapshots` is a SnapshotBlock of k, or one EvolutionState: the block of
+    one, with the dt_used and tail_fraction given here. Every sum runs over
+    the grid axes of the whole block at once.
 
     Energy is E = (1/2)∫|∇u|² - d/(4+2d) ∫|u|^(4/d+2); momentum components
     are P_j = Im ∫ (∂_j u) ū; the dissipation functional is
     H = -∫a|∇u|² + ∫a|u|^(4/d+2) - Re ∫ (∇u·∇a) ū, so that dE/dt = H.
     The damping-weighted integrals, ∫a Im((∂_j u) ū) among them, are stored
     so that the mass, energy and momentum balance residuals are formed from
-    rows alone, without re-simulation. The spectrum û is taken from the
-    state when it carries one, and transformed from the field otherwise.
+    rows alone, without re-simulation.
     """
-    g = state.field.grid
+    block = snapshots
+    if not isinstance(block, SnapshotBlock):
+        block = SnapshotBlock.of(snapshots, dt_used, tail_fraction)
+    g = block.grid
     d = g.dim
     vol = g.cell_volume
-    vals = state.field.values
+    vals, u_hat = block.values, block.spectra
     abs2 = _abs2(vals)
-    mass_sq = g.integrate(abs2)
-    int_a_u2 = _dot(a.values, abs2) * vol
-    u_hat = state.spectrum if state.spectrum is not None else np.fft.fftn(vals)
-    _, grad_sq, _ = _spectral_norms(u_hat, g)
-    p = 4.0 / d + 2.0
-    absp = abs2 ** (p / 2.0)
-    del abs2
-    lp_power = g.integrate(absp)
-    int_a_lp = _dot(a.values, absp) * vol
+    mass_sq = _sum(abs2) * vol
+    int_a_u2 = _dot(abs2, a.values) * vol
+    spec2 = _abs2(u_hat)
+    grad_sq = _dot(spec2, g.k2) * vol / g.size
+    del spec2
+    # |u|^(4/d+2) = |u|^(4/d)·|u|².
+    absp = critical_power(abs2.copy(), d)
+    absp *= abs2
+    lp_power = _sum(absp) * vol
+    int_a_lp = _dot(absp, a.values) * vol
     del absp
     energy = 0.5 * grad_sq - d / (4.0 + 2.0 * d) * lp_power
+    # The windows read |u|², which is released before the per-axis arrays.
+    conc, window_radius = _windows(g, abs2, mass_sq, grad_sq, w_rule)
+    del abs2
     momentum, int_a_im_grad = [], []
     a_grad2 = re_grad_a = 0.0
     # One axis at a time, in one array: ∂_j u, transformed in place, then
     # overwritten by the flux conj(∂_j u)·u, whose real part is that of
     # (∂_j u)·ū and whose imaginary part is exactly its negative.
+    axes = tuple(range(1, d + 1))
     for k, ga in zip(g.k_mesh, a.gradient_values):
         flux = k * u_hat
         flux *= 1j
-        np.fft.ifftn(flux, out=flux)  # ∂_j u
-        a_grad2 += _dot(a.values, _abs2(flux))
+        if d == 1:
+            np.fft.ifft(flux, axis=1, out=flux)  # ∂_j u
+        else:
+            np.fft.ifftn(flux, axes=axes, out=flux)
+        a_grad2 += _dot(_abs2(flux), a.values)
         np.conjugate(flux, out=flux)
         flux *= vals
         # 0.0 - x, not -x: a zero integral is +0.0, the sign (∂_j u)ū gives.
-        momentum.append(0.0 - g.integrate(flux.imag))
-        int_a_im_grad.append(0.0 - _dot(a.values, flux.imag) * vol)
+        momentum.append(0.0 - _sum(flux.imag) * vol)
+        int_a_im_grad.append(0.0 - _dot(flux.imag, a.values) * vol)
         re_grad_a += _dot(flux.real, ga)
-    # Released before the windowed mass, which makes transforms of its own.
     del flux
     int_a_grad2 = a_grad2 * vol
     re_grad_a_term = re_grad_a * vol
-    h_value = -int_a_grad2 + int_a_lp - re_grad_a_term
-    if mass_sq == 0.0:
-        window_radius = 0.0
-        conc = 0.0
-    else:
-        window_radius = float(w_rule(grad_sq))
-        # Keep the ball inside the fundamental cell; the rule may blow up
-        # when the field has no gradient content.
-        window_radius = min(window_radius, 0.99 * g.half_width)
-        if window_radius > 0.0:
-            conc = concentration_mass(state.field, window_radius).value
-        else:
-            window_radius = max(window_radius, 0.0)
-            conc = 0.0
-    return DiagnosticsRow(
-        time=state.time,
-        mass_sq=mass_sq,
-        energy=energy,
-        momentum=tuple(momentum),
-        grad_sq=grad_sq,
-        lp_power=lp_power,
-        h_value=h_value,
-        int_a_u2=int_a_u2,
-        int_a_grad2=int_a_grad2,
-        int_a_lp=int_a_lp,
-        re_grad_a_term=re_grad_a_term,
-        int_a_im_grad=tuple(int_a_im_grad),
-        dt_used=dt_used,
-        tail_fraction=tail_fraction,
-        concentration_mass=conc,
-        window_radius=window_radius,
-    )
+    columns = {
+        "time": block.meta[:, 0],
+        "mass_sq": mass_sq,
+        "energy": energy,
+        "momentum": momentum,
+        "grad_sq": grad_sq,
+        "lp_power": lp_power,
+        "h_value": -int_a_grad2 + int_a_lp - re_grad_a_term,
+        "int_a_u2": int_a_u2,
+        "int_a_grad2": int_a_grad2,
+        "int_a_lp": int_a_lp,
+        "re_grad_a_term": re_grad_a_term,
+        "int_a_im_grad": int_a_im_grad,
+        "dt_used": block.meta[:, 1],
+        "tail_fraction": block.meta[:, 2],
+        "concentration_mass": conc,
+        "window_radius": window_radius,
+    }
+    return np.array(
+        [col for name, _, per_axis in _ROW_COLUMNS
+         for col in (columns[name] if per_axis else [columns[name]])]
+    ).T
+
+
+def _windows(
+    g: Grid, abs2: np.ndarray, mass_sq: np.ndarray, grad_sq: np.ndarray, w_rule: WindowRule
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Windowed mass and window radius of each snapshot of the block.
+
+    The radius is the rule's, kept inside the fundamental cell (the rule may
+    blow up when the field has no gradient content). A zero-mass snapshot
+    gets radius 0; one whose radius is not positive gets no window, mass 0,
+    and its radius raised to 0 (a NaN radius stays NaN).
+    """
+    radius = np.zeros_like(mass_sq)
+    live = mass_sq != 0.0
+    radius[live] = [w_rule(x) for x in grad_sq[live].tolist()]
+    np.minimum(radius, 0.99 * g.half_width, out=radius)
+    conc = np.zeros_like(mass_sq)
+    inside = radius > 0.0
+    if inside.all():
+        conc = concentration_mass(DensityBlock(g, abs2), radius).value
+    elif inside.any():
+        conc[inside] = concentration_mass(DensityBlock(g, abs2[inside]), radius[inside]).value
+    np.maximum(radius, 0.0, out=radius)
+    return conc, radius
 
 
 class TrajectoryRecorder:
     """Evolution sink that turns snapshots into diagnostics rows.
 
-    Only the rows are kept, in `rows`, a RowTable: memory grows by one row
-    of 8-byte values per snapshot.
+    Rows are computed a block of `block_size(grid)` snapshots at a time. Each
+    snapshot's field, and a copy of the spectrum `evolve` lends it, wait in
+    buffers made at construction until the block is full; reading `rows`
+    computes the partial block left. A block of one is computed at once from
+    the lent arrays, without a copy. Only the rows are kept, in `rows`, a
+    RowTable: memory grows by one row of 8-byte values per snapshot.
     """
 
     def __init__(self, a: DampingProfile, w_rule: WindowRule):
         self.a = a
         self.w_rule = w_rule
-        self.rows = RowTable(a.grid.dim)
+        g = a.grid
+        self._rows = RowTable(g.dim)
+        size = block_size(g)
+        self._block: Optional[SnapshotBlock] = None
+        if size > 1:
+            shape = (size, *g.shape)
+            self._block = SnapshotBlock(
+                g, np.empty((size, 3)), np.empty(shape, complex), np.empty(shape, complex)
+            )
+        self._fill = 0
 
     def __call__(self, state: EvolutionState, dt_used: float, tail_fraction: float) -> None:
-        self.rows.append(compute_row(state, self.a, self.w_rule, dt_used, tail_fraction))
+        block = self._block
+        if block is None:
+            self._rows.append_block(compute_row(state, self.a, self.w_rule, dt_used, tail_fraction))
+            return
+        i = self._fill
+        block.meta[i] = state.time, dt_used, tail_fraction
+        block.values[i] = state.field.values
+        spectrum = state.spectrum
+        block.spectra[i] = spectrum if spectrum is not None else np.fft.fftn(state.field.values)
+        self._fill = i + 1
+        if self._fill == len(block.meta):
+            self._flush()
+
+    def _flush(self) -> None:
+        k, block = self._fill, self._block
+        if k == 0:
+            return
+        if k < len(block.meta):
+            block = SnapshotBlock(block.grid, block.meta[:k], block.values[:k], block.spectra[:k])
+        self._rows.append_block(compute_row(block, self.a, self.w_rule))
+        self._fill = 0
+
+    @property
+    def rows(self) -> "RowTable":
+        """The rows of every snapshot so far; a partial block is computed first."""
+        self._flush()
+        return self._rows
 
 
 def _row_columns() -> Tuple[Tuple[str, str, bool], ...]:
@@ -261,6 +390,8 @@ class RowTable(Sequence[DiagnosticsRow]):
         self.names = tuple(csv_header(dim).split(","))
         self.width = len(self.names)
         self._row = struct.Struct(f"{self.width}d")
+        # One %-operation formats a line as csv_line does: "%.17g" is format_float.
+        self._line = ",".join(["%.17g"] * self.width)
         self._data = bytearray()
 
     @classmethod
@@ -277,6 +408,12 @@ class RowTable(Sequence[DiagnosticsRow]):
 
     def append(self, row: DiagnosticsRow) -> None:
         self._data += self._row.pack(*_flatten(row, self.dim))
+
+    def append_block(self, values: np.ndarray) -> None:
+        """Append k rows given as a (k, width) float64 array, as compute_row returns them."""
+        if values.ndim != 2 or values.shape[1] != self.width:
+            raise ValueError(f"need a (k, {self.width}) block of rows, got shape {values.shape}")
+        self._data += np.ascontiguousarray(values, dtype=np.float64).data
 
     def __len__(self) -> int:
         return len(self._data) // self._row.size
@@ -307,7 +444,7 @@ class RowTable(Sequence[DiagnosticsRow]):
 
     def csv_lines(self) -> Iterator[str]:
         """One rows.csv line per row, as `csv_line` writes it."""
-        return (_csv_text(self._values(i)) for i in range(len(self)))
+        return (self._line % self._values(i) for i in range(len(self)))
 
 
 def _trapezoid_defects(table: RowTable, value: str, rate: str, factor: float) -> np.ndarray:
@@ -456,8 +593,18 @@ def balance_report(
 
 @dataclass(frozen=True)
 class ConcentrationResult:
-    value: float
-    center: Tuple[float, ...]
+    """The largest windowed mass and the center of its ball: a float and a
+    tuple for one field, arrays of shape (k,) and (k, d) for a block of k."""
+
+    value: Union[float, np.ndarray]
+    center: Union[Tuple[float, ...], np.ndarray]
+
+
+class DensityBlock(NamedTuple):
+    """|u|² of k snapshots on one grid, along a leading axis."""
+
+    grid: Grid
+    values: np.ndarray
 
 
 def _grid_r2(dim: int, n: int, half_width: float) -> np.ndarray:
@@ -490,41 +637,65 @@ def _ball_spectrum(dim: int, n: int, half_width: float, r2_max: float) -> np.nda
     return _read_only(np.fft.rfftn(ball))
 
 
-def concentration_mass(field_: ComplexField, w: float) -> ConcentrationResult:
+def concentration_mass(
+    field_: Union[ComplexField, DensityBlock], w: Union[float, np.ndarray]
+) -> ConcentrationResult:
     """Largest windowed mass sup_y ∫_{|x-y|<=w} |u|² over grid-centered balls.
 
+    `field_` is one ComplexField with one radius w, or a DensityBlock of k
+    snapshots with one radius each in w; a field is the block of one.
     Evaluated for every center at once: the ball is the set of grid offsets
     whose coordinate r² is at most w² (periodic distance). In 1-D that set
-    is one run of offsets, summed by a periodic prefix sum; for d ≥ 2 |u|² is
-    convolved with the ball indicator by real FFT. The spectrum of the last
-    ball is kept, keyed by the grid's layout and the largest grid r² at most
-    w², so windows whose balls hold the same grid points reuse it.
+    is one run of offsets, summed by one periodic prefix sum per block; for
+    d ≥ 2 |u|² is convolved with the ball indicator by real FFT, batched
+    over the block. The spectrum of the last ball is kept, keyed by the
+    grid's layout and the largest grid r² at most w², so windows whose balls
+    hold the same grid points reuse it.
     Ties resolve to the smallest lexicographic grid index.
     """
+    one = isinstance(field_, ComplexField)
     g = field_.grid
-    if not (0.0 < w < g.half_width):
-        raise ValueError(f"window radius must lie in (0, {g.half_width}), got {w}")
-    abs2 = _abs2(field_.values)
+    abs2 = _abs2(field_.values)[None] if one else field_.values
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    bad = ~((0.0 < w) & (w < g.half_width))
+    if bad.any():
+        raise ValueError(f"window radius must lie in (0, {g.half_width}), got {w[bad][0]}")
+    k, n = abs2.shape[0], g.points_per_axis
     if g.dim == 1:
-        # Offsets lo..hi from the center index n/2; windowed[i] sums |u|² over
-        # i - hi .. i - lo, read off the prefix sums of |u|² extended periodically.
-        n = g.points_per_axis
-        inside = np.flatnonzero(g.coords[0] ** 2 <= w * w)
-        lo, hi = int(inside[0]) - n // 2, int(inside[-1]) - n // 2
-        width = hi - lo + 1
-        extended = np.concatenate((abs2[n - hi:], abs2, abs2[: width - 1 - hi]))
-        sums = np.concatenate(([0.0], np.cumsum(extended)))
-        windowed = sums[width:] - sums[:n]
+        # Offsets lo..hi from the center index n/2, where x² has its minimum
+        # 0 and grows to either side; windowed[i] sums |u|² over
+        # i - hi .. i - lo (mod n), which is C(i - lo + 1) - C(i - hi) for
+        # the prefix sum C(e) = Σ_{0 <= j < e} |u_j|², extended periodically
+        # by C(e ± n) = C(e) ± the mass. Column m of `sums` holds C(m - n/2).
+        h = n // 2
+        sq = g.axis**2
+        hi = np.searchsorted(sq[h:], w * w, side="right") - 1
+        lo = 1 - np.searchsorted(sq[h::-1], w * w, side="right")
+        sums = np.empty((k, 2 * n + 1))
+        sums[:, h] = 0.0
+        np.cumsum(abs2, axis=1, out=sums[:, h + 1 : h + n + 1])
+        mass = sums[:, h + n : h + n + 1]
+        np.subtract(sums[:, n : n + h], mass, out=sums[:, :h])
+        np.add(sums[:, h + 1 : n + 1], mass, out=sums[:, h + n + 1 :])
+        windowed = np.empty((k, n))
+        for r, (end, start) in enumerate(zip((h + 1 - lo).tolist(), (h - hi).tolist())):
+            np.subtract(sums[r, end : end + n], sums[r, start : start + n], out=windowed[r])
     else:
         # r² = 0 at the center, so the ball is never empty.
-        layout = (g.dim, g.points_per_axis, g.half_width)
+        layout = (g.dim, n, g.half_width)
         radii = _sorted_r2(*layout)
-        r2_max = float(radii[np.searchsorted(radii, w * w, side="right") - 1])
-        spectrum = np.fft.rfftn(abs2) * _ball_spectrum(*layout, r2_max)
-        windowed = np.fft.irfftn(spectrum, s=g.shape, axes=range(g.dim))
-    idx = np.unravel_index(int(np.argmax(windowed)), g.shape)
-    center = tuple(float(g.axis[i]) for i in idx)
-    return ConcentrationResult(float(windowed[idx]) * g.cell_volume, center)
+        r2_max = radii[np.searchsorted(radii, w * w, side="right") - 1]
+        axes = tuple(range(1, g.dim + 1))
+        spectrum = np.fft.rfftn(abs2, axes=axes)
+        for s, r2 in zip(spectrum, r2_max.tolist()):
+            s *= _ball_spectrum(*layout, r2)
+        windowed = np.fft.irfftn(spectrum, s=g.shape, axes=axes).reshape(k, -1)
+    idx = windowed.argmax(axis=1)
+    value = windowed[np.arange(k), idx] * g.cell_volume
+    center = g.axis[np.array(np.unravel_index(idx, g.shape)).T]
+    if one:
+        return ConcentrationResult(float(value[0]), tuple(center[0].tolist()))
+    return ConcentrationResult(value, center)
 
 
 def gn_ratio(field_: ComplexField) -> float:

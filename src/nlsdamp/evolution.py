@@ -88,7 +88,8 @@ class EvolutionState:
     `spectrum`, when set, is the FFT û of the field. `evolve` lends the
     spectrum it steps: it is valid only during the sink call, because the
     next step advances it in place, and its array also holds the mid-step
-    field while the step runs. A sink that keeps it must copy it.
+    field while the step runs. A sink that keeps it must copy it, as
+    `TrajectoryRecorder` does when it holds snapshots for a block of rows.
     """
 
     time: float

@@ -383,9 +383,18 @@ def _load_ground_state(path: Path, grid: Grid, tol: float) -> GroundState:
     return GroundState(grid, profile, *scalars)
 
 
+def _make_dir(path: Path) -> None:
+    """Create `path` and its parents; one that cannot be made is a ConfigurationError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigurationError(f"cannot create output directory {path}: {reason}") from exc
+
+
 def _save_ground_state(path: Path, gs: GroundState, tol: float) -> None:
     """Write the cache through a temporary file, so no reader sees a partial one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".gs-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -615,7 +624,7 @@ def run_scenario(
 
     if write_outputs:
         out_dir = result.out_dir = Path(cfg.outputs) / cfg.scenario_id
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(out_dir)
         _write_rows_csv(out_dir / "rows.csv", rows, cfg.dim)
         dump_json(_report_payload(result), out_dir / "report.json")
         if balance is not None:
@@ -742,7 +751,7 @@ def _write_suite_summary(path: Path, results: Sequence[ScenarioResult]) -> None:
         values = (r.report.blew_up, r.report.t_detect, r.report.peak_grad_sq, *ledger)
         lines.append(",".join([r.config.scenario_id, r.report.stop_reason.value,
                                *map(_summary_cell, values), r.check_summary]))
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

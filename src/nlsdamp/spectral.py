@@ -77,6 +77,17 @@ class Grid:
             raise ConfigurationError(f"points_per_axis must be a power of two >= 2, got {n}")
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ConfigurationError(f"half_width must be positive, got {self.half_width}")
+        # Squared distances reach d·L² and cell volumes (2L/n)^d: both stay
+        # below (2L)^max(2, d), which must be finite.
+        power = max(2, self.dim)
+        try:
+            extent = (2.0 * self.half_width) ** power
+        except OverflowError:
+            extent = math.inf
+        if not math.isfinite(extent):
+            raise ConfigurationError(
+                f"half_width {self.half_width} is too large: (2*half_width)**{power} overflows"
+            )
         axis = -self.half_width + self.spacing * np.arange(n)
         k_axis = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
         coords = self._mesh(axis)

@@ -1,9 +1,11 @@
-"""Reference oracles for the tests: the closed-form 1-D ground state and one
-unmerged Strang step built from the integrator's own kernel."""
+"""Reference oracles for the tests: the closed-form 1-D ground state, one
+unmerged Strang step built from the integrator's own kernel, and one
+snapshot's diagnostics row as a DiagnosticsRow."""
 
 import numpy as np
 
-from nlsdamp import ComplexField, DampingProfile, EvolutionState
+from nlsdamp import ComplexField, DampingProfile, EvolutionState, RowTable, compute_row
+from nlsdamp.diagnostics import DiagnosticsRow
 from nlsdamp.evolution import _StrangKernel
 
 
@@ -26,3 +28,11 @@ def strang_step(state: EvolutionState, a: DampingProfile, dt: float) -> Evolutio
     kernel.phase(u_hat, 0.5 * dt)
     out = ComplexField(state.field.grid, kernel.ifft(u_hat, out=u_hat))
     return EvolutionState(state.time + dt, out, state.step_count + 1)
+
+
+def diagnostics_row(state: EvolutionState, a: DampingProfile, w_rule, dt_used=0.0,
+                    tail_fraction=0.0) -> DiagnosticsRow:
+    """One snapshot's DiagnosticsRow: the block of one that compute_row returns, read back."""
+    table = RowTable(state.field.grid.dim)
+    table.append_block(compute_row(state, a, w_rule, dt_used, tail_fraction))
+    return table[0]

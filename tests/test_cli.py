@@ -104,6 +104,8 @@ def test_evolve_unknown_key_is_exit_2(tmp_path, capsys):
         ("damping_amplitude = 1.0", "damping_amplitude = inf"),
         ("initial_data = gaussian", "initial_data = scaled_ground_state\ninitial_scale = nan"),
         ("initial_data = gaussian", "initial_data = boosted_ground_state\ninitial_velocity = -inf"),
+        ("box = 15.0", "box = 1e200"),
+        ("box = 15.0", "box = 1e300"),
     ],
 )
 def test_evolve_invalid_value_is_exit_2(tmp_path, capsys, old, new):
@@ -270,6 +272,26 @@ def test_failed_ground_state_solve_is_exit_1(tmp_path, capsys, command):
     assert err.startswith("ground-state iteration failed: no convergence after 500 iterations")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "suite", "ground-state"])
+def test_uncreatable_outputs_root_is_exit_2(tmp_path, capsys, command):
+    # A path below a file cannot be made a directory.
+    out = "/dev/null/x"
+    cfg_path = tmp_path / "run.cfg"
+    if command == "evolve":
+        cfg_path.write_text(EVOLVE_CONFIG.format(out=out).replace("n = 256", "n = 64"))
+        argv = ["evolve", "--config", str(cfg_path)]
+    elif command == "suite":
+        cfg_path.write_text(f"n = 64\nt_end = 0.01\noutputs = {out}\n")
+        argv = ["suite", "--config", str(cfg_path)]
+    else:
+        argv = ["ground-state", "--dim", "1", "--n", "64", "--box", "10.0", "--out", out]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: cannot create output directory /dev/null/x")
+    assert err.count("\n") == 1
 
 
 def test_ground_state_command_writes_profile(tmp_path, capsys):

