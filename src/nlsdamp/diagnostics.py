@@ -24,7 +24,6 @@ from typing import (
 import numpy as np
 
 from .evolution import EvolutionState
-from .reporting import format_float
 from .spectral import ComplexField, DampingProfile, Grid, critical_power, norms
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "TrajectoryRecorder",
     "RowTable",
     "csv_header",
-    "csv_line",
     "mass_balance_residual",
     "energy_balance_residual",
     "momentum_balance_residual",
@@ -126,19 +124,6 @@ class SnapshotBlock:
     values: np.ndarray
     spectra: np.ndarray
 
-    @classmethod
-    def of(
-        cls, state: EvolutionState, dt_used: float = 0.0, tail_fraction: float = 0.0
-    ) -> "SnapshotBlock":
-        """The block of one: views of the state's field and spectrum, no copy.
-
-        The spectrum is transformed from the field when the state has none.
-        """
-        values = state.field.values
-        spectrum = state.spectrum if state.spectrum is not None else np.fft.fftn(values)
-        meta = np.array([[state.time, dt_used, tail_fraction]])
-        return cls(state.field.grid, meta, values[None], spectrum[None])
-
 
 def _sum(x: np.ndarray) -> np.ndarray:
     """Σ x over the grid axes, one sum per snapshot of the block x."""
@@ -166,20 +151,23 @@ def _abs2(v: np.ndarray) -> np.ndarray:
     return x
 
 
-def compute_row(
-    snapshots: Union[SnapshotBlock, EvolutionState],
-    a: DampingProfile,
-    w_rule: WindowRule,
-    dt_used: float = 0.0,
-    tail_fraction: float = 0.0,
-) -> np.ndarray:
-    """Evaluate every diagnostic at each snapshot of a block.
+def _ifft_block(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse FFT over the grid axes of each snapshot of the block x, into out.
+
+    Bit for bit one transform per snapshot; 1-D takes `ifft`, which costs
+    less per call than `ifftn`.
+    """
+    if x.ndim == 2:
+        return np.fft.ifft(x, axis=1, out=out)
+    return np.fft.ifftn(x, axes=tuple(range(1, x.ndim)), out=out)
+
+
+def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> np.ndarray:
+    """Evaluate every diagnostic at each snapshot of a block of k.
 
     Returns the rows as a (k, width) float64 array in rows.csv column order
-    (a transposed view of the column table).
-    `snapshots` is a SnapshotBlock of k, or one EvolutionState: the block of
-    one, with the dt_used and tail_fraction given here. Every sum runs over
-    the grid axes of the whole block at once.
+    (a transposed view of the column table). Every sum runs over the grid
+    axes of the whole block at once.
 
     Energy is E = (1/2)∫|∇u|² - d/(4+2d) ∫|u|^(4/d+2); momentum components
     are P_j = Im ∫ (∂_j u) ū; the dissipation functional is
@@ -188,9 +176,6 @@ def compute_row(
     so that the mass, energy and momentum balance residuals are formed from
     rows alone, without re-simulation.
     """
-    block = snapshots
-    if not isinstance(block, SnapshotBlock):
-        block = SnapshotBlock.of(snapshots, dt_used, tail_fraction)
     g = block.grid
     d = g.dim
     vol = g.cell_volume
@@ -213,17 +198,14 @@ def compute_row(
     del abs2
     momentum, int_a_im_grad = [], []
     a_grad2 = re_grad_a = 0.0
-    # One axis at a time, in one array: ∂_j u, transformed in place, then
-    # overwritten by the flux conj(∂_j u)·u, whose real part is that of
-    # (∂_j u)·ū and whose imaginary part is exactly its negative.
-    axes = tuple(range(1, d + 1))
+    # One axis at a time, in one array for all axes: ∂_j u, transformed in
+    # place, then overwritten by the flux conj(∂_j u)·u, whose real part is
+    # that of (∂_j u)·ū and whose imaginary part is exactly its negative.
+    flux = np.empty_like(u_hat)
     for k, ga in zip(g.k_mesh, a.gradient_values):
-        flux = k * u_hat
+        np.multiply(k, u_hat, out=flux)
         flux *= 1j
-        if d == 1:
-            np.fft.ifft(flux, axis=1, out=flux)  # ∂_j u
-        else:
-            np.fft.ifftn(flux, axes=axes, out=flux)
+        _ifft_block(flux, flux)  # ∂_j u
         a_grad2 += _dot(_abs2(flux), a.values)
         np.conjugate(flux, out=flux)
         flux *= vals
@@ -285,12 +267,14 @@ def _windows(
 class TrajectoryRecorder:
     """Evolution sink that turns snapshots into diagnostics rows.
 
-    Rows are computed a block of `block_size(grid)` snapshots at a time. Each
-    snapshot's field, and a copy of the spectrum `evolve` lends it, wait in
-    buffers made at construction until the block is full; reading `rows`
-    computes the partial block left. A block of one is computed at once from
-    the lent arrays, without a copy. Only the rows are kept, in `rows`, a
-    RowTable: memory grows by one row of 8-byte values per snapshot.
+    Rows are computed a block of `block_size(grid)` snapshots at a time. A
+    copy of each spectrum `evolve` lends waits in a buffer made at
+    construction until the block is full; the block's fields are then formed
+    by one batched inverse FFT into a second buffer. Reading `rows` computes
+    the partial block left. A block of one is computed at once from the lent
+    spectrum, without a copy, and its field from one inverse FFT. Only the
+    rows are kept, in `rows`, a RowTable: memory grows by one row of 8-byte
+    values per snapshot.
     """
 
     def __init__(self, a: DampingProfile, w_rule: WindowRule):
@@ -310,13 +294,16 @@ class TrajectoryRecorder:
     def __call__(self, state: EvolutionState, dt_used: float, tail_fraction: float) -> None:
         block = self._block
         if block is None:
-            self._rows.append_block(compute_row(state, self.a, self.w_rule, dt_used, tail_fraction))
+            u_hat = state.spectrum[None]
+            meta = np.array([[state.time, dt_used, tail_fraction]])
+            # One new array: without out=, ifftn allocates one per axis.
+            values = _ifft_block(u_hat, np.empty_like(u_hat))
+            one = SnapshotBlock(self.a.grid, meta, values, u_hat)
+            self._rows.append_block(compute_row(one, self.a, self.w_rule))
             return
         i = self._fill
         block.meta[i] = state.time, dt_used, tail_fraction
-        block.values[i] = state.field.values
-        spectrum = state.spectrum
-        block.spectra[i] = spectrum if spectrum is not None else np.fft.fftn(state.field.values)
+        block.spectra[i] = state.spectrum
         self._fill = i + 1
         if self._fill == len(block.meta):
             self._flush()
@@ -327,6 +314,7 @@ class TrajectoryRecorder:
             return
         if k < len(block.meta):
             block = SnapshotBlock(block.grid, block.meta[:k], block.values[:k], block.spectra[:k])
+        _ifft_block(block.spectra, block.values)
         self._rows.append_block(compute_row(block, self.a, self.w_rule))
         self._fill = 0
 
@@ -365,14 +353,6 @@ def _flatten(row: DiagnosticsRow, dim: int) -> List[float]:
     return vals
 
 
-def _csv_text(values) -> str:
-    return ",".join(format_float(v) for v in values)
-
-
-def csv_line(row: DiagnosticsRow, dim: int) -> str:
-    return _csv_text(_flatten(row, dim))
-
-
 class RowTable(Sequence[DiagnosticsRow]):
     """Recorded diagnostics rows as one float64 table, 8 bytes per value.
 
@@ -390,7 +370,7 @@ class RowTable(Sequence[DiagnosticsRow]):
         self.names = tuple(csv_header(dim).split(","))
         self.width = len(self.names)
         self._row = struct.Struct(f"{self.width}d")
-        # One %-operation formats a line as csv_line does: "%.17g" is format_float.
+        # One %-operation formats a line; "%.17g" is reporting.format_float.
         self._line = ",".join(["%.17g"] * self.width)
         self._data = bytearray()
 
@@ -443,7 +423,7 @@ class RowTable(Sequence[DiagnosticsRow]):
         return self._matrix()[:, self.names.index(name)]
 
     def csv_lines(self) -> Iterator[str]:
-        """One rows.csv line per row, as `csv_line` writes it."""
+        """One rows.csv line per row: each value as reporting.format_float writes it."""
         return (self._line % self._values(i) for i in range(len(self)))
 
 

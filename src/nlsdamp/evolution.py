@@ -83,19 +83,19 @@ class SimConfig:
 
 @dataclass
 class EvolutionState:
-    """Current time, field, and accepted-step count.
+    """Current time, spectrum, and accepted-step count.
 
-    `spectrum`, when set, is the FFT û of the field. `evolve` lends the
-    spectrum it steps: it is valid only during the sink call, because the
-    next step advances it in place, and its array also holds the mid-step
-    field while the step runs. A sink that keeps it must copy it, as
-    `TrajectoryRecorder` does when it holds snapshots for a block of rows.
+    `spectrum` is the FFT û of the field: u = IFFT(û) on the grid's shape.
+    `evolve` lends the spectrum it steps: it is valid only during the sink
+    call, because the next step advances it in place, and its array also
+    holds the mid-step field while the step runs. A sink that keeps it must
+    copy it, as `TrajectoryRecorder` does when it holds snapshots for a
+    block of rows.
     """
 
     time: float
-    field: ComplexField
+    spectrum: np.ndarray
     step_count: int = 0
-    spectrum: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -288,15 +288,15 @@ def evolve(
     cfg.tail_threshold; dt floor engaged while ‖∇u‖² has grown a
     million-fold; t >= t_end. The sink, when given, receives a snapshot
     (state, dt_used, tail_fraction) at t = 0, every cfg.record_every
-    accepted steps, and at the stop. The snapshot's field is its own; its
-    `spectrum` is the stepped û, lent for the call (see EvolutionState).
+    accepted steps, and at the stop. The snapshot is the stepped û, with its
+    owed half phase applied, lent for the call (see EvolutionState).
 
     The state carried from step to step is the spectrum û, and adjacent
     half phases are merged, so a step costs one inverse and one forward FFT.
     Both are taken in û's own array, so one state array, never u0's, serves
     the whole run.
-    Mass, ‖∇u‖² and the tail fraction are read from û; the physical field
-    is formed only for the sink, at one inverse FFT per snapshot. The
+    Mass, ‖∇u‖² and the tail fraction are read from û, and the sink is
+    lent û itself, so the physical field is formed only inside a step. The
     boundary-mass flag is raised when a step's mid-step field, the one the
     kick acts on, holds more than BOUNDARY_MASS_LIMIT of its mass in the
     outer 10% of the box (max_j |x_j| >= 0.9 L); it is checked on every step.
@@ -330,8 +330,7 @@ def evolve(
         if sink is not None:
             kernel.phase(u_hat, owed)
             owed = 0.0
-            field_ = ComplexField(grid, kernel.ifft(u_hat, out=np.empty_like(u_hat)))
-            sink(EvolutionState(t, field_, steps, u_hat), last_dt, tail)
+            sink(EvolutionState(t, u_hat, steps), last_dt, tail)
         emitted_step = steps
 
     while True:

@@ -1,12 +1,14 @@
 """Reference oracles for the tests: the closed-form 1-D ground state, one
-unmerged Strang step built from the integrator's own kernel, and one
-snapshot's diagnostics row as a DiagnosticsRow."""
+unmerged Strang step built from the integrator's own kernel, one snapshot's
+block and diagnostics row, and one row's rows.csv line formatted value by
+value."""
 
 import numpy as np
 
 from nlsdamp import ComplexField, DampingProfile, EvolutionState, RowTable, compute_row
-from nlsdamp.diagnostics import DiagnosticsRow
+from nlsdamp.diagnostics import DiagnosticsRow, SnapshotBlock, _flatten
 from nlsdamp.evolution import _StrangKernel
+from nlsdamp.reporting import format_float
 
 
 def closed_form_q_1d(x) -> np.ndarray:
@@ -17,22 +19,43 @@ def closed_form_q_1d(x) -> np.ndarray:
     return (3.0 * sech * sech) ** 0.25
 
 
+def state_of(field: ComplexField, time: float = 0.0) -> EvolutionState:
+    """The state of `field` at `time`: its spectrum, in a new array."""
+    return EvolutionState(time, np.fft.fftn(field.values))
+
+
+def field_of(state: EvolutionState, grid) -> ComplexField:
+    """The field a state's spectrum stands for on `grid`, in a new array."""
+    return ComplexField(grid, np.fft.ifftn(state.spectrum))
+
+
 def strang_step(state: EvolutionState, a: DampingProfile, dt: float) -> EvolutionState:
     """Second-order composition: half linear, full nonlinear/damping, half linear.
 
     The same kernel as `evolve`, with the closing half phase applied at once
-    instead of merged into the next step.
+    instead of merged into the next step. The state's spectrum is not written.
     """
-    kernel = _StrangKernel(state.field.grid, a)
-    u_hat, _ = kernel.advance(kernel.fft(state.field.values), 0.5 * dt, dt)
+    kernel = _StrangKernel(a.grid, a)
+    u_hat, _ = kernel.advance(state.spectrum.copy(), 0.5 * dt, dt)
     kernel.phase(u_hat, 0.5 * dt)
-    out = ComplexField(state.field.grid, kernel.ifft(u_hat, out=u_hat))
-    return EvolutionState(state.time + dt, out, state.step_count + 1)
+    return EvolutionState(state.time + dt, u_hat, state.step_count + 1)
 
 
-def diagnostics_row(state: EvolutionState, a: DampingProfile, w_rule, dt_used=0.0,
+def snapshot_block(field: ComplexField, t=0.0, dt_used=0.0, tail_fraction=0.0) -> SnapshotBlock:
+    """The block of one holding `field` at time t: a view of its values and their FFT."""
+    values = field.values
+    meta = np.array([[t, dt_used, tail_fraction]])
+    return SnapshotBlock(field.grid, meta, values[None], np.fft.fftn(values)[None])
+
+
+def diagnostics_row(field: ComplexField, a: DampingProfile, w_rule, dt_used=0.0,
                     tail_fraction=0.0) -> DiagnosticsRow:
-    """One snapshot's DiagnosticsRow: the block of one that compute_row returns, read back."""
-    table = RowTable(state.field.grid.dim)
-    table.append_block(compute_row(state, a, w_rule, dt_used, tail_fraction))
+    """The DiagnosticsRow of `field` at t = 0: its block of one from compute_row, read back."""
+    table = RowTable(field.grid.dim)
+    table.append_block(compute_row(snapshot_block(field, 0.0, dt_used, tail_fraction), a, w_rule))
     return table[0]
+
+
+def csv_line(row: DiagnosticsRow, dim: int) -> str:
+    """The row's rows.csv line, each value through reporting.format_float."""
+    return ",".join(format_float(v) for v in _flatten(row, dim))

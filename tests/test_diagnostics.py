@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import traced_held, traced_peak
-from reference import closed_form_q_1d, diagnostics_row
+from reference import closed_form_q_1d, csv_line, diagnostics_row, snapshot_block
 
 from nlsdamp import (
     BalanceReport,
     ComplexField,
     DampingProfile,
     DampingSpec,
-    EvolutionState,
     Grid,
     SimConfig,
     TrajectoryRecorder,
@@ -43,7 +42,6 @@ from nlsdamp.diagnostics import (
     DiagnosticsRow,
     _dot,
     csv_header,
-    csv_line,
     random_smooth_field,
 )
 
@@ -132,8 +130,7 @@ def test_balance_sign_oracle(gs_1d):
 
 
 def test_row_ground_state_free(gs_1d):
-    state = EvolutionState(0.0, gs_1d.field())
-    row = diagnostics_row(state, DampingProfile.zero(gs_1d.grid),
+    row = diagnostics_row(gs_1d.field(), DampingProfile.zero(gs_1d.grid),
                           gradient_window_rule(gs_1d.grad_sq))
     assert abs(row.energy) < TOL["row_energy"]
     assert abs(row.momentum[0]) < TOL["row_momentum"]
@@ -150,8 +147,7 @@ def test_row_ground_state_free(gs_1d):
 def test_row_constant_damping_reduction(gs_1d):
     # With a = 1 the dissipation functional reduces to lp - grad, which for
     # the ground state equals its squared critical norm.
-    state = EvolutionState(0.0, gs_1d.field())
-    row = diagnostics_row(state, DampingProfile.constant(gs_1d.grid, 1.0),
+    row = diagnostics_row(gs_1d.field(), DampingProfile.constant(gs_1d.grid, 1.0),
                           lambda _: 1.0)
     assert row.re_grad_a_term == 0.0
     assert row.int_a_u2 == pytest.approx(row.mass_sq, rel=1e-13)
@@ -163,8 +159,7 @@ def test_row_boosted_momentum():
     k0 = g.wavenumbers[8]
     x = g.axis
     u = ComplexField(g, np.exp(-0.5 * x * x) * np.exp(1j * k0 * x))
-    row = diagnostics_row(EvolutionState(0.0, u), DampingProfile.zero(g),
-                          lambda _: 1.0)
+    row = diagnostics_row(u, DampingProfile.zero(g), lambda _: 1.0)
     assert len(row.momentum) == 1
     assert row.momentum[0] == pytest.approx(k0 * math.sqrt(math.pi),
                                             rel=TOL["boosted_momentum"])
@@ -172,7 +167,7 @@ def test_row_boosted_momentum():
 
 def test_row_zero_field():
     g = Grid(1, 64, 10.0)
-    row = diagnostics_row(EvolutionState(0.0, ComplexField(g, np.zeros(g.shape))),
+    row = diagnostics_row(ComplexField(g, np.zeros(g.shape)),
                           DampingProfile.zero(g), gradient_window_rule(1.0))
     assert row.mass_sq == 0.0
     assert row.concentration_mass == 0.0
@@ -311,7 +306,7 @@ def test_momentum_law_bites_and_reads_from_rows(tmp_path, capsys):
     a = build_damping(gs.grid, cfg.damping)
     snapshots = []
     evolve(build_initial(gs.grid, cfg.initial, gs), a, cfg.sim,
-           sink=lambda s, dt, tail: snapshots.append((s.time, s.field.values)))
+           sink=lambda s, dt, tail: snapshots.append((s.time, np.fft.ifftn(s.spectrum))))
     assert [time for time, _ in snapshots] == t
     g = gs.grid
     for (_, values), column in zip(snapshots, ap):
@@ -340,19 +335,31 @@ def test_recorded_run_memory_grows_by_rows_not_fields():
     assert per_row < TOL["row_growth_per_field"] * u0.values.nbytes
 
 
+def _row_peak(g, a):
+    """Peak traced bytes of a warmed row (ball spectrum cached) on a block of
+    one whose field and spectrum already exist, in complex grid arrays."""
+    values = 3.0 * random_smooth_field(g, np.random.default_rng(5)).values
+    block = snapshot_block(ComplexField(g, values))
+    rule = gradient_window_rule(1.0)
+    compute_row(block, a, rule)
+    return traced_peak(lambda: compute_row(block, a, rule)) / values.nbytes
+
+
 @pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64), (3, 32)])
 def test_row_temporaries_stay_below_four_grid_arrays(dim, n):
-    # A warmed row (ball spectrum cached) with the spectrum lent, as evolve
-    # lends it: the row's own allocations peak below 4 complex grid arrays.
     g = Grid(dim, n, 10.0)
-    a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))
-    values = 3.0 * random_smooth_field(g, np.random.default_rng(5)).values
-    state = EvolutionState(0.0, ComplexField(g, values), 0, np.fft.fftn(values))
-    rule = gradient_window_rule(1.0)
-    compute_row(state, a, rule)
-    peak = traced_peak(lambda: compute_row(state, a, rule))
-    print(f"row peak {peak / values.nbytes:.2f} complex grid arrays")
-    assert peak < 4.0 * values.nbytes
+    peak = _row_peak(g, build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0)))
+    print(f"row peak {peak:.2f} complex grid arrays")
+    assert peak < 4.0
+
+
+def test_row_derivatives_share_one_array_at_64_squared():
+    # ∂_1 u and ∂_2 u are formed in one array in turn, so a warmed 2-D row
+    # peaks near 2.1 complex grid arrays; an array per axis makes about 3.1.
+    g = Grid(2, 64, 10.0)
+    peak = _row_peak(g, build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0)))
+    print(f"row peak {peak:.2f} complex grid arrays")
+    assert peak < 2.5
 
 
 def test_zero_damping_holds_no_gradient_arrays():
@@ -380,14 +387,9 @@ def test_zero_damping_row_peak_at_64_cubed():
     # A warmed 3-D row on zero damping peaks where it did with full-grid zero
     # gradients: 2.047 complex grid arrays.
     g = Grid(3, 64, 10.0)
-    a = DampingProfile.zero(g)
-    values = 3.0 * random_smooth_field(g, np.random.default_rng(5)).values
-    state = EvolutionState(0.0, ComplexField(g, values), 0, np.fft.fftn(values))
-    rule = gradient_window_rule(1.0)
-    compute_row(state, a, rule)
-    peak = traced_peak(lambda: compute_row(state, a, rule))
-    print(f"row peak {peak / values.nbytes:.3f} complex grid arrays")
-    assert peak <= 2.05 * values.nbytes
+    peak = _row_peak(g, DampingProfile.zero(g))
+    print(f"row peak {peak:.3f} complex grid arrays")
+    assert peak <= 2.05
 
 
 def _nan_rows(name, value):

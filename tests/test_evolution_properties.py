@@ -5,12 +5,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import strang_step
+from reference import field_of, state_of, strang_step
 
 from nlsdamp import (
     ComplexField,
     DampingProfile,
-    EvolutionState,
     Grid,
     SimConfig,
     StopReason,
@@ -41,15 +40,16 @@ def test_evolve_matches_unmerged_strang_steps(seed, dim, amplitude, damping, ste
     cfg = SimConfig(dt0=dt, t_end=steps * dt, adapt_const=1e30, dt_min=1e-9,
                     tail_threshold=0.999, record_every=10**6)
     snapshots = []
-    report = evolve(u0, a, cfg, sink=lambda s, dt_used, tail: snapshots.append(s))
+    report = evolve(u0, a, cfg,
+                    sink=lambda s, dt_used, tail: snapshots.append((s.step_count, field_of(s, g))))
     assert report.stop_reason is StopReason.HORIZON_REACHED
-    assert snapshots[-1].step_count == steps
+    assert snapshots[-1][0] == steps
 
-    state = EvolutionState(0.0, u0)
+    state = state_of(u0)
     for _ in range(steps):
         state = strang_step(state, a, dt)
-    ref = state.field.values
-    err = np.max(np.abs(snapshots[-1].field.values - ref))
+    ref = field_of(state, g).values
+    err = np.max(np.abs(snapshots[-1][1].values - ref))
     assert err <= TOL["merged_phases"] * np.max(np.abs(ref))
 
 
@@ -68,17 +68,15 @@ def test_stepping_leaves_caller_data_untouched(seed, dim, damping, steps):
     dt = 1e-3
     cfg = SimConfig(dt0=dt, t_end=steps * dt, adapt_const=1e30, dt_min=1e-9,
                     tail_threshold=0.999, record_every=2)
-    kept = []
-    evolve(u0, a, cfg,
-           sink=lambda s, dt_used, tail: kept.append((s.field.values, s.field.values.copy())))
+    lent = []
+    evolve(u0, a, cfg, sink=lambda s, dt_used, tail: lent.append(s.spectrum))
     assert np.array_equal(u0.values, before)
-    # Each snapshot's field is its own: later steps do not write into it.
-    assert len(kept) >= 2
-    for values, at_emit in kept:
-        assert values is not u0.values
-        assert np.array_equal(values, at_emit)
+    assert len(lent) >= 2
+    for spectrum in lent:
+        assert not np.shares_memory(spectrum, u0.values)
 
-    state = EvolutionState(0.0, u0)
+    state = state_of(u0)
+    spectrum = state.spectrum.copy()
     nxt = strang_step(state, a, dt)
-    assert np.array_equal(state.field.values, before)
-    assert nxt.field.values is not u0.values
+    assert np.array_equal(state.spectrum, spectrum)
+    assert not np.shares_memory(nxt.spectrum, state.spectrum)

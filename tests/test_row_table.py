@@ -1,6 +1,7 @@
 """The columnar row table: rows read back bit for bit, the ledgers over its
 columns equal the per-row loops they replaced, a row costs 8 B a value, its
-CSV lines are csv_line's, and rows computed in blocks equal one-snapshot rows."""
+CSV lines are the reference csv_line's, and rows computed in blocks equal
+one-snapshot rows."""
 
 import dataclasses
 import math
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from reference import csv_line
 
 from nlsdamp import (
     ComplexField,
@@ -33,9 +35,9 @@ from nlsdamp import (
 from nlsdamp.diagnostics import (
     DiagnosticsRow,
     EnvelopeCheck,
+    SnapshotBlock,
     block_size,
     csv_header,
-    csv_line,
     random_smooth_field,
 )
 
@@ -262,15 +264,15 @@ def test_csv_lines_equal_csv_line_bytewise(rows):
 
 
 def _snapshot(g, rng, kind):
-    """A random smooth field, the zero field, or a constant one (no gradient)."""
+    """The time and spectrum of a random smooth field, the zero field, or a
+    constant one (no gradient)."""
     if kind == "zero":
         values = np.zeros(g.shape, dtype=np.complex128)
     elif kind == "flat":
         values = np.full(g.shape, 0.3 - 0.2j)
     else:
         values = rng.uniform(0.2, 3.0) * random_smooth_field(g, rng).values
-    return EvolutionState(float(rng.uniform(0.0, 5.0)), ComplexField(g, values), 0,
-                          np.fft.fftn(values))
+    return float(rng.uniform(0.0, 5.0)), np.fft.fftn(values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,10 +296,13 @@ def test_blocked_rows_equal_one_snapshot_rows(dim, kinds, read_at, seed):
     for i, kind in enumerate(kinds):
         if i == read_at:
             assert len(rec.rows) == i
-        state = _snapshot(g, rng, kind)
+        t, spectrum = _snapshot(g, rng, kind)
         dt_used, tail = float(rng.uniform(0.0, 1e-3)), float(rng.uniform(0.0, 1e-4))
-        rec(state, dt_used, tail)
-        expected.append(compute_row(state, a, rule, dt_used, tail)[0])
+        rec(EvolutionState(t, spectrum), dt_used, tail)
+        # The block of one the recorder would form: the field from the spectrum.
+        one = SnapshotBlock(g, np.array([[t, dt_used, tail]]), np.fft.ifftn(spectrum)[None],
+                            spectrum[None])
+        expected.append(compute_row(one, a, rule)[0])
     table = rec.rows
     assert len(table) == len(kinds) and len(rec.rows) == len(kinds)
     want = np.array(expected)
@@ -307,3 +312,37 @@ def test_blocked_rows_equal_one_snapshot_rows(dim, kinds, read_at, seed):
     radius = table.column("window_w")
     assert (radius[[k == "zero" for k in kinds]] == 0.0).all()
     assert (radius[[k == "flat" for k in kinds]] == 0.99 * g.half_width).all()
+
+
+@pytest.mark.parametrize("dim, n, snapshots", [(1, 512, 40), (2, 128, 6)])
+def test_recorded_rows_equal_rows_of_copied_spectra(dim, n, snapshots):
+    # 1-D 512 records in blocks of 16, the last one partial here; 2-D 128² in
+    # blocks of one. `evolve` lends each spectrum for the sink call only, so a
+    # recorder that kept one without copying it would compute its row from a
+    # later step's spectrum.
+    g = Grid(dim, n, 10.0)
+    assert block_size(g) == (16 if dim == 1 else 1)
+    a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))
+    rule = gradient_window_rule(1.0)
+    u0 = ComplexField(g, 2.0 * random_smooth_field(g, np.random.default_rng(8), 0.1).values)
+    rec = TrajectoryRecorder(a, rule)
+    copies = []
+
+    def sink(s, dt_used, tail):
+        copies.append((EvolutionState(s.time, s.spectrum.copy(), s.step_count), dt_used, tail))
+        rec(s, dt_used, tail)
+
+    record_every = 1 if dim == 1 else 2
+    dt = 1e-4
+    cfg = SimConfig(dt0=dt, t_end=(snapshots - 1) * record_every * dt, adapt_const=1e30,
+                    record_every=record_every)
+    evolve(u0, a, cfg, sink)
+    assert len(copies) == snapshots
+    after = TrajectoryRecorder(a, rule)
+    for state, dt_used, tail in copies:
+        after(state, dt_used, tail)
+    during, later = rec.rows, after.rows
+    assert len(during) == len(later) == snapshots
+    assert len(set(during.column("t").tolist())) == snapshots
+    for name in during.names:
+        assert during.column(name).tobytes() == later.column(name).tobytes(), name

@@ -31,7 +31,6 @@ from nlsdamp import (
     run_scenario,
 )
 from nlsdamp.diagnostics import DiagnosticsRow, csv_header
-from nlsdamp.evolution import EvolutionState
 from nlsdamp.scenarios import (
     CLAIMS,
     STATUS_FAIL,
@@ -266,8 +265,7 @@ def test_build_initial_scaled_and_boosted(gs_1d):
         grid, InitialSpec("boosted_ground_state", scale=1.0, velocity=v), gs_1d
     )
     assert norms(boosted).mass_sq == pytest.approx(gs_1d.mass_sq, rel=1e-12)
-    row = diagnostics_row(EvolutionState(0.0, boosted), DampingProfile.zero(grid),
-                          lambda _: 1.0)
+    row = diagnostics_row(boosted, DampingProfile.zero(grid), lambda _: 1.0)
     assert row.momentum[0] == pytest.approx(v * gs_1d.mass_sq,
                                             rel=TOL["boosted_momentum"])
 
