@@ -115,7 +115,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if result.unresolved_at_start:
         print(
             "initial data is under-resolved on this grid: tail fraction "
-            f"{result.rows[0].tail_fraction:.6g} > tail_threshold "
+            f"{result.rows.column('tail_fraction')[0]:.6g} > tail_threshold "
             f"{cfg.sim.tail_threshold:.6g} at t = 0; raise n",
             file=sys.stderr,
         )

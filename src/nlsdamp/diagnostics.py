@@ -6,20 +6,8 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field, fields
-from itertools import islice
-from typing import (
-    Callable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-    get_origin,
-    get_type_hints,
-)
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +17,6 @@ from .spectral import ComplexField, DampingProfile, Grid, critical_power, norms
 __all__ = [
     "WindowRule",
     "gradient_window_rule",
-    "DiagnosticsRow",
     "block_size",
     "SnapshotBlock",
     "compute_row",
@@ -72,31 +59,26 @@ def gradient_window_rule(ref_grad_sq: float, w0: float = 1.0) -> WindowRule:
     return rule
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    """One recorded snapshot of the conserved-quantity ledger.
-
-    The fields, in order, are the rows.csv columns. Metadata "csv" names a
-    column that differs from its field; a tuple field holds one value per
-    axis and gives the columns `<name>_1` … `<name>_d`.
-    """
-
-    time: float = field(metadata={"csv": "t"})
-    mass_sq: float
-    energy: float
-    momentum: Tuple[float, ...] = field(metadata={"csv": "p"})
-    grad_sq: float
-    lp_power: float
-    h_value: float
-    int_a_u2: float
-    int_a_grad2: float
-    int_a_lp: float
-    re_grad_a_term: float
-    int_a_im_grad: Tuple[float, ...]
-    dt_used: float
-    tail_fraction: float
-    concentration_mass: float = field(metadata={"csv": "conc_mass"})
-    window_radius: float = field(metadata={"csv": "window_w"})
+# The rows.csv columns of one snapshot, in order: (name, one value per axis).
+# A per-axis column `p` gives the columns `p_1` … `p_d`.
+_ROW_COLUMNS = (
+    ("t", False),
+    ("mass_sq", False),
+    ("energy", False),
+    ("p", True),
+    ("grad_sq", False),
+    ("lp_power", False),
+    ("h_value", False),
+    ("int_a_u2", False),
+    ("int_a_grad2", False),
+    ("int_a_lp", False),
+    ("re_grad_a_term", False),
+    ("int_a_im_grad", True),
+    ("dt_used", False),
+    ("tail_fraction", False),
+    ("conc_mass", False),
+    ("window_w", False),
+)
 
 
 # A block of rows holds at most this many snapshots and this many bytes of
@@ -217,10 +199,10 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> 
     int_a_grad2 = a_grad2 * vol
     re_grad_a_term = re_grad_a * vol
     columns = {
-        "time": block.meta[:, 0],
+        "t": block.meta[:, 0],
         "mass_sq": mass_sq,
         "energy": energy,
-        "momentum": momentum,
+        "p": momentum,
         "grad_sq": grad_sq,
         "lp_power": lp_power,
         "h_value": -int_a_grad2 + int_a_lp - re_grad_a_term,
@@ -231,11 +213,11 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> 
         "int_a_im_grad": int_a_im_grad,
         "dt_used": block.meta[:, 1],
         "tail_fraction": block.meta[:, 2],
-        "concentration_mass": conc,
-        "window_radius": window_radius,
+        "conc_mass": conc,
+        "window_w": window_radius,
     }
     return np.array(
-        [col for name, _, per_axis in _ROW_COLUMNS
+        [col for name, per_axis in _ROW_COLUMNS
          for col in (columns[name] if per_axis else [columns[name]])]
     ).T
 
@@ -273,8 +255,8 @@ class TrajectoryRecorder:
     by one batched inverse FFT into a second buffer. Reading `rows` computes
     the partial block left. A block of one is computed at once from the lent
     spectrum, without a copy, and its field from one inverse FFT. Only the
-    rows are kept, in `rows`, a RowTable: memory grows by one row of 8-byte
-    values per snapshot.
+    rows are kept, in `rows`, a RowTable of float64 columns: memory grows by
+    one row of 8-byte values per snapshot.
     """
 
     def __init__(self, a: DampingProfile, w_rule: WindowRule):
@@ -325,44 +307,21 @@ class TrajectoryRecorder:
         return self._rows
 
 
-def _row_columns() -> Tuple[Tuple[str, str, bool], ...]:
-    """(field name, CSV name, one value per axis) for each DiagnosticsRow field."""
-    hints = get_type_hints(DiagnosticsRow)
-    return tuple(
-        (f.name, f.metadata.get("csv", f.name), get_origin(hints[f.name]) is tuple)
-        for f in fields(DiagnosticsRow)
-    )
-
-
-_ROW_COLUMNS = _row_columns()
-
-
 def csv_header(dim: int) -> str:
     cols: List[str] = []
-    for _, col, per_axis in _ROW_COLUMNS:
+    for col, per_axis in _ROW_COLUMNS:
         cols += [f"{col}_{j + 1}" for j in range(dim)] if per_axis else [col]
     return ",".join(cols)
 
 
-def _flatten(row: DiagnosticsRow, dim: int) -> List[float]:
-    """The row's values in rows.csv column order."""
-    vals: List[float] = []
-    for name, _, per_axis in _ROW_COLUMNS:
-        value = getattr(row, name)
-        vals += [value[j] for j in range(dim)] if per_axis else [value]
-    return vals
-
-
-class RowTable(Sequence[DiagnosticsRow]):
+class RowTable:
     """Recorded diagnostics rows as one float64 table, 8 bytes per value.
 
     The values sit row by row, as native doubles, in one bytearray that
-    grows in place; there is one column per rows.csv column (`names`, from
-    `csv_header(dim)`). Reading a row builds its DiagnosticsRow; indexing
-    (negative too), slicing (a new table), iteration and len work as on a
-    list of rows. `column(name)` is a read-only numpy view of one column.
-    While such a view is alive the table cannot grow: `append` raises
-    BufferError.
+    grows in place, a block of rows at a time; there is one column per
+    rows.csv column (`names`, from `csv_header(dim)`). `column(name)` is a
+    read-only numpy view of one column. While such a view is alive the
+    table cannot grow: `append_block` raises BufferError.
     """
 
     def __init__(self, dim: int):
@@ -374,21 +333,6 @@ class RowTable(Sequence[DiagnosticsRow]):
         self._line = ",".join(["%.17g"] * self.width)
         self._data = bytearray()
 
-    @classmethod
-    def of(cls, rows: Sequence[DiagnosticsRow]) -> "RowTable":
-        """rows itself when it is a table, else a new table of its (≥ 1) rows."""
-        if isinstance(rows, cls):
-            return rows
-        if not rows:
-            raise ValueError("need at least one diagnostics row")
-        table = cls(len(rows[0].momentum))
-        for row in rows:
-            table.append(row)
-        return table
-
-    def append(self, row: DiagnosticsRow) -> None:
-        self._data += self._row.pack(*_flatten(row, self.dim))
-
     def append_block(self, values: np.ndarray) -> None:
         """Append k rows given as a (k, width) float64 array, as compute_row returns them."""
         if values.ndim != 2 or values.shape[1] != self.width:
@@ -398,33 +342,16 @@ class RowTable(Sequence[DiagnosticsRow]):
     def __len__(self) -> int:
         return len(self._data) // self._row.size
 
-    def __getitem__(self, index: Union[int, slice]) -> Union[DiagnosticsRow, "RowTable"]:
-        if isinstance(index, slice):
-            part = RowTable(self.dim)
-            part._data += self._matrix()[index].tobytes()
-            return part
-        # A range indexes as a list does: negative indices, IndexError.
-        values = iter(self._values(range(len(self))[index]))
-        return DiagnosticsRow(**{
-            name: tuple(islice(values, self.dim)) if per_axis else next(values)
-            for name, _, per_axis in _ROW_COLUMNS
-        })
-
-    def _values(self, i: int) -> Tuple[float, ...]:
-        return self._row.unpack_from(self._data, i * self._row.size)
-
-    def _matrix(self) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray:
+        """The values of rows.csv column `name`, one per row, as a read-only view."""
         m = np.frombuffer(self._data, dtype=np.float64).reshape(-1, self.width)
         m.flags.writeable = False
-        return m
-
-    def column(self, name: str) -> np.ndarray:
-        """The values of rows.csv column `name`, one per row, as a view."""
-        return self._matrix()[:, self.names.index(name)]
+        return m[:, self.names.index(name)]
 
     def csv_lines(self) -> Iterator[str]:
         """One rows.csv line per row: each value as reporting.format_float writes it."""
-        return (self._line % self._values(i) for i in range(len(self)))
+        row = self._row
+        return (self._line % row.unpack_from(self._data, i * row.size) for i in range(len(self)))
 
 
 def _trapezoid_defects(table: RowTable, value: str, rate: str, factor: float) -> np.ndarray:
@@ -452,48 +379,42 @@ def _worst_defect(defects: np.ndarray, scale: float) -> float:
     return worst / scale if math.isfinite(scale) else math.nan
 
 
-def mass_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
+def mass_balance_residual(table: RowTable) -> float:
     """Worst per-interval defect of d/dt ∫|u|² = -2 ∫a|u|².
 
     Trapezoid rule in time over consecutive rows, normalized by the initial
-    mass. NaN when a row value it uses is not finite. Reads the columns of
-    a RowTable; any other sequence of rows is first turned into one.
+    mass. NaN when a row value it uses is not finite.
     """
-    if len(rows) < 2:
+    if len(table) < 2:
         raise ValueError("need at least two diagnostics rows")
-    table = RowTable.of(rows)
     m0 = float(table.column("mass_sq")[0])
     if m0 == 0.0:
         return 0.0
     return _worst_defect(_trapezoid_defects(table, "mass_sq", "int_a_u2", 2.0), m0)
 
 
-def energy_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
+def energy_balance_residual(table: RowTable) -> float:
     """Worst per-interval defect of dE/dt = H, normalized by max(1, |E(0)|).
 
     The sign convention (energy drifts by +∫H dt) is pinned by the
     finite-difference oracle in the test suite. NaN when a row value it
-    uses is not finite. Reads the columns of a RowTable; any other sequence
-    of rows is first turned into one.
+    uses is not finite.
     """
-    if len(rows) < 2:
+    if len(table) < 2:
         raise ValueError("need at least two diagnostics rows")
-    table = RowTable.of(rows)
     scale = max(1.0, abs(float(table.column("energy")[0])))
     return _worst_defect(_trapezoid_defects(table, "energy", "h_value", -1.0), scale)
 
 
-def momentum_balance_residual(rows: Sequence[DiagnosticsRow]) -> float:
+def momentum_balance_residual(table: RowTable) -> float:
     """Worst per-interval, per-component defect of dP/dt = -2 ∫a Im(∇u ū).
 
     Trapezoid rule in time over consecutive rows, normalized by
     mass_sq(0)·‖∇u₀‖ (or 1 when that degenerates to zero). NaN when a row
-    value it uses is not finite. Reads the columns of a RowTable; any other
-    sequence of rows is first turned into one.
+    value it uses is not finite.
     """
-    if len(rows) < 2:
+    if len(table) < 2:
         raise ValueError("need at least two diagnostics rows")
-    table = RowTable.of(rows)
     scale = float(table.column("mass_sq")[0]) * math.sqrt(float(table.column("grad_sq")[0]))
     if scale == 0.0:
         scale = 1.0
@@ -512,18 +433,16 @@ class EnvelopeCheck:
     worst: float
 
 
-def mass_envelope_check(rows: Sequence[DiagnosticsRow], a: DampingProfile) -> EnvelopeCheck:
+def mass_envelope_check(table: RowTable, a: DampingProfile) -> EnvelopeCheck:
     """Check ‖u₀‖e^(-‖a‖∞ t) <= ‖u(t)‖ <= ‖u₀‖e^(+‖a‖∞ t) on every row.
 
     Margins carry an absolute slack of 1e-8·‖u₀‖ against round-off. A
     non-finite margin fails the check, with worst = NaN. Reads the t and
-    mass_sq columns of a RowTable (any other sequence of rows is first
-    turned into one), as Python floats: math.exp, not np.exp, whose last
-    bit can differ.
+    mass_sq columns as Python floats: math.exp, not np.exp, whose last bit
+    can differ.
     """
-    if not rows:
+    if not len(table):
         raise ValueError("need at least one diagnostics row")
-    table = RowTable.of(rows)
     masses = table.column("mass_sq").tolist()
     u0 = math.sqrt(masses[0])
     eps = 1e-8 * u0
@@ -551,15 +470,11 @@ class BalanceReport:
 
 
 def balance_report(
-    rows: Sequence[DiagnosticsRow],
+    table: RowTable,
     a: DampingProfile,
     fields=None,  # unused: kept only so the benchmark's stored-field probe still attaches
 ) -> BalanceReport:
-    """The three balance residuals and the mass envelope, from the rows alone.
-
-    A sequence of rows that is not a RowTable is turned into one once, here.
-    """
-    table = RowTable.of(rows)
+    """The three balance residuals and the mass envelope, from the rows alone."""
     env = mass_envelope_check(table, a)
     return BalanceReport(
         mass_residual=mass_balance_residual(table),

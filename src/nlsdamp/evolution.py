@@ -313,7 +313,9 @@ def evolve(
     edge_w = _boundary_mask(grid).ravel().astype(np.float64)
     mass_per_total = grid.cell_volume / grid.size
 
-    u_hat = kernel.fft(u0.values)
+    # Into one new array, so u0 is never written: without out=, fftn
+    # allocates one array per axis.
+    u_hat = kernel.fft(u0.values, out=np.empty_like(u0.values))
     # Half phase not yet applied to û: u(t) = IFFT(exp(-i|k|² owed) û).
     owed = 0.0
     t = 0.0

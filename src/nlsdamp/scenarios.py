@@ -16,11 +16,9 @@ import numpy as np
 
 from .diagnostics import (
     BalanceReport,
-    DiagnosticsRow,
     RowTable,
     TrajectoryRecorder,
     balance_report,
-    csv_header,
     gradient_window_rule,
 )
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
@@ -178,12 +176,12 @@ class TheoremCheckReport:
 
 @dataclass
 class ScenarioResult:
-    """One run's outcome. `rows` is the recorder's RowTable: a sequence of
-    DiagnosticsRow kept as columns of 8-byte values."""
+    """One run's outcome. `rows` is the recorder's RowTable: one float64
+    column per rows.csv column."""
 
     config: ScenarioConfig
     report: BlowupReport
-    rows: Sequence[DiagnosticsRow]
+    rows: RowTable
     balance: Optional[BalanceReport]
     checks: List[TheoremCheckReport]
     out_dir: Optional[Path]
@@ -454,9 +452,7 @@ def ensure_ground_state(
 # (status, bound_value, observed, margin, notes) of a claim that applies.
 Verdict = Tuple[str, float, float, float, str]
 # A claim's evaluation: the reason it does not apply to the run, or its verdict.
-Evaluation = Callable[
-    [BlowupReport, Sequence[DiagnosticsRow], ScenarioConfig, GroundState], Union[str, Verdict]
-]
+Evaluation = Callable[[BlowupReport, RowTable, ScenarioConfig, GroundState], Union[str, Verdict]]
 
 
 def _global_existence(report, rows, cfg, gs) -> Union[str, Verdict]:
@@ -468,16 +464,17 @@ def _global_existence(report, rows, cfg, gs) -> Union[str, Verdict]:
     """
     if not cfg.damping.pointwise_positive:
         return "damping is not pointwise positive"
-    if math.sqrt(rows[0].mass_sq) > math.sqrt(gs.mass_sq) * (1.0 + 1e-10):
+    masses = rows.column("mass_sq")
+    if math.sqrt(masses[0]) > math.sqrt(gs.mass_sq) * (1.0 + 1e-10):
         return "initial mass above critical"
     bound = PEAK_GRAD_RATIO_BOUND
-    peak_ratio = report.peak_grad_sq / rows[0].grad_sq if rows[0].grad_sq > 0 else 0.0
+    grad0 = float(rows.column("grad_sq")[0])
+    peak_ratio = report.peak_grad_sq / grad0 if grad0 > 0 else 0.0
     if report.blew_up:
         status, notes = STATUS_FAIL, "blow-up detected under global-existence hypotheses"
     elif report.stop_reason is not StopReason.HORIZON_REACHED:
         status, notes = STATUS_INCONCLUSIVE, f"run stopped early: {report.stop_reason.value}"
     else:
-        masses = RowTable.of(rows).column("mass_sq")
         monotone = bool(np.all(masses[1:] < masses[:-1]))
         if peak_ratio < bound and monotone:
             status, notes = STATUS_PASS, "horizon reached; mass strictly decreasing"
@@ -500,7 +497,7 @@ def _blowup_time_bound(report, rows, cfg, gs) -> Union[str, Verdict]:
     """
     if not report.blew_up:
         return "no blow-up detected"
-    u0_norm = math.sqrt(rows[0].mass_sq)
+    u0_norm = math.sqrt(rows.column("mass_sq")[0])
     q_norm = math.sqrt(gs.mass_sq)
     sup = cfg.damping.sup_norm
     if not u0_norm < q_norm:
@@ -537,21 +534,25 @@ def _concentration(report, rows, cfg, gs) -> Union[str, Verdict]:
     """
     if not report.blew_up:
         return "no blow-up detected"
-    grad_norms = [math.sqrt(r.grad_sq) for r in rows]
+    # Python floats through math.sqrt and max: max compares past a NaN that
+    # is not its first value, where np.max would return NaN.
+    grad_norms = [math.sqrt(x) for x in rows.column("grad_sq").tolist()]
+    windows = rows.column("window_w").tolist()
+    conc = rows.column("conc_mass").tolist()
     g_max = max(grad_norms)
-    final = [r for r, gn in zip(rows, grad_norms) if gn >= g_max / cfg.conc_decade]
+    final = [i for i, gn in enumerate(grad_norms) if gn >= g_max / cfg.conc_decade]
     if len(final) < 5:
         return f"only {len(final)} rows in the final decade of gradient growth"
     spacing = 2.0 * cfg.box / cfg.n
-    if any(r.window_radius < 2.0 * spacing for r in final):
+    if any(windows[i] < 2.0 * spacing for i in final):
         return "window-rule guard: window below two grid spacings near detection"
-    products = [r.window_radius * math.sqrt(r.grad_sq) for r in final]
+    products = [windows[i] * grad_norms[i] for i in final]
     if not products[-1] > 1.05 * products[0]:
         return "window-rule guard: w·‖∇u‖ shows no growth toward detection"
     threshold = cfg.conc_pass_threshold
-    observed = max(r.concentration_mass for r in final) / gs.mass_sq
+    observed = max(conc[i] for i in final) / gs.mass_sq
     if observed >= threshold:
-        status, notes = STATUS_PASS, f"last-row fraction {final[-1].concentration_mass / gs.mass_sq:.6g}"
+        status, notes = STATUS_PASS, f"last-row fraction {conc[final[-1]] / gs.mass_sq:.6g}"
     else:
         status, notes = STATUS_INCONCLUSIVE, "windowed mass below threshold at this resolution"
     return status, threshold, observed, observed - threshold, notes
@@ -569,7 +570,7 @@ CLAIMS: Dict[str, Evaluation] = {
 def check_claim(
     claim: str,
     report: BlowupReport,
-    rows: Sequence[DiagnosticsRow],
+    rows: RowTable,
     cfg: ScenarioConfig,
     gs: GroundState,
 ) -> TheoremCheckReport:
@@ -625,7 +626,7 @@ def run_scenario(
     if write_outputs:
         out_dir = result.out_dir = Path(cfg.outputs) / cfg.scenario_id
         _make_dir(out_dir)
-        _write_rows_csv(out_dir / "rows.csv", rows, cfg.dim)
+        _write_rows_csv(out_dir / "rows.csv", rows)
         dump_json(_report_payload(result), out_dir / "report.json")
         if balance is not None:
             dump_json(asdict(balance), out_dir / "balance.json")
@@ -633,10 +634,10 @@ def run_scenario(
     return result
 
 
-def _write_rows_csv(path: Path, rows: RowTable, dim: int) -> None:
+def _write_rows_csv(path: Path, rows: RowTable) -> None:
     """Write the header and then the table one line at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_header(dim) + "\n")
+        fh.write(",".join(rows.names) + "\n")
         for line in rows.csv_lines():
             fh.write(line + "\n")
 

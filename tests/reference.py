@@ -1,12 +1,12 @@
 """Reference oracles for the tests: the closed-form 1-D ground state, one
 unmerged Strang step built from the integrator's own kernel, one snapshot's
-block and diagnostics row, and one row's rows.csv line formatted value by
-value."""
+block and diagnostics row, a row table from named columns, and one row's
+rows.csv line formatted value by value."""
 
 import numpy as np
 
 from nlsdamp import ComplexField, DampingProfile, EvolutionState, RowTable, compute_row
-from nlsdamp.diagnostics import DiagnosticsRow, SnapshotBlock, _flatten
+from nlsdamp.diagnostics import SnapshotBlock
 from nlsdamp.evolution import _StrangKernel
 from nlsdamp.reporting import format_float
 
@@ -49,13 +49,29 @@ def snapshot_block(field: ComplexField, t=0.0, dt_used=0.0, tail_fraction=0.0) -
 
 
 def diagnostics_row(field: ComplexField, a: DampingProfile, w_rule, dt_used=0.0,
-                    tail_fraction=0.0) -> DiagnosticsRow:
-    """The DiagnosticsRow of `field` at t = 0: its block of one from compute_row, read back."""
-    table = RowTable(field.grid.dim)
-    table.append_block(compute_row(snapshot_block(field, 0.0, dt_used, tail_fraction), a, w_rule))
-    return table[0]
+                    tail_fraction=0.0) -> dict:
+    """The row of `field` at t = 0, keyed by rows.csv column: its block of one from compute_row."""
+    values = compute_row(snapshot_block(field, 0.0, dt_used, tail_fraction), a, w_rule)[0]
+    return dict(zip(RowTable(field.grid.dim).names, values.tolist()))
 
 
-def csv_line(row: DiagnosticsRow, dim: int) -> str:
-    """The row's rows.csv line, each value through reporting.format_float."""
-    return ",".join(format_float(v) for v in _flatten(row, dim))
+def row_table(dim: int = 1, **columns) -> RowTable:
+    """A table of the rows.csv columns named, all of one length; any other column is 0."""
+    table = RowTable(dim)
+    lengths = {len(values) for values in columns.values()} or {0}
+    block = np.zeros((lengths.pop(), table.width))
+    assert not lengths, "named columns differ in length"
+    for name, values in columns.items():
+        block[:, table.names.index(name)] = values
+    table.append_block(block)
+    return table
+
+
+def table_values(table: RowTable) -> np.ndarray:
+    """A (len, width) copy of the table's values, read column by column."""
+    return np.array([table.column(name) for name in table.names]).T
+
+
+def csv_line(values) -> str:
+    """The rows.csv line of one row's values, each through reporting.format_float."""
+    return ",".join(format_float(v) for v in values)

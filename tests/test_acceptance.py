@@ -148,15 +148,18 @@ def test_criterion_4_balance_laws(catalog_results, gs_1d):
         worst["momentum"] = max(worst["momentum"], bal.momentum_residual)
 
     rows = by_id["decay_constant"].rows
+    t, energy, h, mass = (
+        rows.column(name).tolist() for name in ("t", "energy", "h_value", "mass_sq")
+    )
     i = len(rows) // 2
-    span = rows[i + 1].time - rows[i - 1].time
-    fd = (rows[i + 1].energy - rows[i - 1].energy) / span
-    h_mid = rows[i].h_value
+    span = t[i + 1] - t[i - 1]
+    fd = (energy[i + 1] - energy[i - 1]) / span
+    h_mid = h[i]
     fd_rel = abs(fd - h_mid) / max(abs(h_mid), 1e-12)
 
-    m0 = rows[0].mass_sq
+    m0 = mass[0]
     decay_dev = max(
-        abs(r.mass_sq - m0 * math.exp(-r.time)) / m0 for r in rows
+        abs(m - m0 * math.exp(-t_i)) / m0 for t_i, m in zip(t, mass)
     )
 
     ratios = _shrink_ratios(gs_1d)
@@ -182,10 +185,11 @@ def test_criterion_5_mass_envelope(catalog_results):
     worst_violation = max(r.balance.max_envelope_violation for r in results)
 
     rows = catalog_results["by_id"]["decay_constant"].rows
-    m0 = rows[0].mass_sq
+    t, mass = rows.column("t").tolist(), rows.column("mass_sq").tolist()
+    m0 = mass[0]
     sup = 0.5
     saturation = (
-        max(abs(r.mass_sq - m0 * math.exp(-2.0 * sup * r.time)) for r in rows) / m0
+        max(abs(m - m0 * math.exp(-2.0 * sup * t_i)) for t_i, m in zip(t, mass)) / m0
     )
     print(
         f"criterion 5: {len(results)} envelopes ok, "
@@ -199,8 +203,8 @@ def test_criterion_6_global_existence(catalog_results):
     for sid in GLOBAL_IDS:
         r = catalog_results["by_id"][sid]
         check = {c.claim: c for c in r.checks}["global_existence"]
-        ratio = r.report.peak_grad_sq / r.rows[0].grad_sq
-        masses = [row.mass_sq for row in r.rows]
+        ratio = r.report.peak_grad_sq / r.rows.column("grad_sq")[0].item()
+        masses = r.rows.column("mass_sq").tolist()
         assert r.report.stop_reason is StopReason.HORIZON_REACHED
         assert not r.report.blew_up
         assert check.status == STATUS_PASS
@@ -215,7 +219,7 @@ def test_criterion_6_global_existence(catalog_results):
 
 def test_criterion_7_blowup_and_concentration(catalog_results):
     r = catalog_results["by_id"]["collapse_free_1p2"]
-    e0 = r.rows[0].energy
+    e0 = r.rows.column("energy")[0].item()
     check = {c.claim: c for c in r.checks}["concentration"]
     print(
         f"criterion 7: E0={e0:.6f} blew_up={r.report.blew_up} "
@@ -227,7 +231,8 @@ def test_criterion_7_blowup_and_concentration(catalog_results):
     assert 0.2 < r.report.t_detect < 0.35
     assert check.status == STATUS_PASS
     assert check.observed >= TOL["conc_fraction"]
-    assert r.rows[-1].window_radius < r.rows[0].window_radius
+    window = r.rows.column("window_w")
+    assert window[-1] < window[0]
 
 
 def test_criterion_8_conditional_time_bound(catalog_results, gs_1d):

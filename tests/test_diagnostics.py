@@ -2,7 +2,6 @@
 and the interpolation functional, each pinned by an independent oracle."""
 
 import csv
-import dataclasses
 import json
 import math
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_held, traced_peak
-from reference import closed_form_q_1d, csv_line, diagnostics_row, snapshot_block
+from reference import closed_form_q_1d, csv_line, diagnostics_row, row_table, snapshot_block
 
 from nlsdamp import (
     BalanceReport,
@@ -39,7 +38,6 @@ from nlsdamp import (
 )
 from nlsdamp.cli import main
 from nlsdamp.diagnostics import (
-    DiagnosticsRow,
     _dot,
     csv_header,
     random_smooth_field,
@@ -90,17 +88,6 @@ def _record(u0, a, gs, dt0=1e-3, t_end=0.5, record_every=5):
     return rec
 
 
-def _synthetic_row(time, mass_sq, energy=0.0, h_value=0.0, int_a_u2=0.0,
-                   grad_sq=1.0, window_radius=1.0, concentration_mass=0.0):
-    return DiagnosticsRow(
-        time=time, mass_sq=mass_sq, energy=energy, momentum=(0.0,),
-        grad_sq=grad_sq, lp_power=0.0, h_value=h_value, int_a_u2=int_a_u2,
-        int_a_grad2=0.0, int_a_lp=0.0, re_grad_a_term=0.0, int_a_im_grad=(0.0,),
-        dt_used=0.0, tail_fraction=0.0, concentration_mass=concentration_mass,
-        window_radius=window_radius,
-    )
-
-
 def test_balance_sign_oracle(gs_1d):
     """Centered differences along a fine trajectory pin both balance laws:
     the energy rate equals +H (not -H) and the mass rate carries factor 2."""
@@ -108,19 +95,21 @@ def test_balance_sign_oracle(gs_1d):
     a = DampingProfile.constant(g, 0.5)
     rec = _record(ComplexField(g, 0.9 * gs_1d.profile), a, gs_1d,
                   dt0=2e-4, t_end=0.02, record_every=1)
-    rows = rec.rows
-    assert len(rows) >= 21
-    scale_h = max(abs(r.h_value) for r in rows)
-    scale_m = rows[0].mass_sq
+    t, energy, h, mass, a_u2 = (
+        rec.rows.column(name).tolist() for name in ("t", "energy", "h_value", "mass_sq", "int_a_u2")
+    )
+    assert len(t) >= 21
+    scale_h = max(abs(x) for x in h)
+    scale_m = mass[0]
     err_plus = err_minus = err_two = err_one = 0.0
-    for rm, r0, rp in zip(rows, rows[1:], rows[2:]):
-        span = rp.time - rm.time
-        fd_e = (rp.energy - rm.energy) / span
-        err_plus = max(err_plus, abs(fd_e - r0.h_value))
-        err_minus = max(err_minus, abs(fd_e + r0.h_value))
-        fd_m = (rp.mass_sq - rm.mass_sq) / span
-        err_two = max(err_two, abs(fd_m + 2.0 * r0.int_a_u2))
-        err_one = max(err_one, abs(fd_m + 1.0 * r0.int_a_u2))
+    for i in range(1, len(t) - 1):
+        span = t[i + 1] - t[i - 1]
+        fd_e = (energy[i + 1] - energy[i - 1]) / span
+        err_plus = max(err_plus, abs(fd_e - h[i]))
+        err_minus = max(err_minus, abs(fd_e + h[i]))
+        fd_m = (mass[i + 1] - mass[i - 1]) / span
+        err_two = max(err_two, abs(fd_m + 2.0 * a_u2[i]))
+        err_one = max(err_one, abs(fd_m + 1.0 * a_u2[i]))
     print(f"energy rate: |fd - (+H)| = {err_plus:.3e}, |fd - (-H)| = {err_minus:.3e}")
     print(f"mass rate: |fd + 2*aU| = {err_two:.3e}, |fd + 1*aU| = {err_one:.3e}")
     assert err_plus < TOL["fd_energy"] * scale_h
@@ -132,16 +121,16 @@ def test_balance_sign_oracle(gs_1d):
 def test_row_ground_state_free(gs_1d):
     row = diagnostics_row(gs_1d.field(), DampingProfile.zero(gs_1d.grid),
                           gradient_window_rule(gs_1d.grad_sq))
-    assert abs(row.energy) < TOL["row_energy"]
-    assert abs(row.momentum[0]) < TOL["row_momentum"]
-    assert row.h_value == 0.0
-    assert row.int_a_u2 == 0.0
-    assert row.int_a_grad2 == 0.0
-    assert row.re_grad_a_term == 0.0
-    assert row.window_radius == pytest.approx(1.0, rel=1e-12)
+    assert abs(row["energy"]) < TOL["row_energy"]
+    assert abs(row["p_1"]) < TOL["row_momentum"]
+    assert row["h_value"] == 0.0
+    assert row["int_a_u2"] == 0.0
+    assert row["int_a_grad2"] == 0.0
+    assert row["re_grad_a_term"] == 0.0
+    assert row["window_w"] == pytest.approx(1.0, rel=1e-12)
     # closed-form windowed mass over |x| <= 1 is sqrt(3)*atan(sinh 2)
     exact = math.sqrt(3.0) * math.atan(math.sinh(2.0))
-    assert row.concentration_mass == pytest.approx(exact, rel=2e-2)
+    assert row["conc_mass"] == pytest.approx(exact, rel=2e-2)
 
 
 def test_row_constant_damping_reduction(gs_1d):
@@ -149,9 +138,9 @@ def test_row_constant_damping_reduction(gs_1d):
     # the ground state equals its squared critical norm.
     row = diagnostics_row(gs_1d.field(), DampingProfile.constant(gs_1d.grid, 1.0),
                           lambda _: 1.0)
-    assert row.re_grad_a_term == 0.0
-    assert row.int_a_u2 == pytest.approx(row.mass_sq, rel=1e-13)
-    assert row.h_value == pytest.approx(Q_MASS_SQ, abs=TOL["row_reduction"])
+    assert row["re_grad_a_term"] == 0.0
+    assert row["int_a_u2"] == pytest.approx(row["mass_sq"], rel=1e-13)
+    assert row["h_value"] == pytest.approx(Q_MASS_SQ, abs=TOL["row_reduction"])
 
 
 def test_row_boosted_momentum():
@@ -160,18 +149,18 @@ def test_row_boosted_momentum():
     x = g.axis
     u = ComplexField(g, np.exp(-0.5 * x * x) * np.exp(1j * k0 * x))
     row = diagnostics_row(u, DampingProfile.zero(g), lambda _: 1.0)
-    assert len(row.momentum) == 1
-    assert row.momentum[0] == pytest.approx(k0 * math.sqrt(math.pi),
-                                            rel=TOL["boosted_momentum"])
+    assert [name for name in row if name.startswith("p_")] == ["p_1"]
+    assert row["p_1"] == pytest.approx(k0 * math.sqrt(math.pi),
+                                       rel=TOL["boosted_momentum"])
 
 
 def test_row_zero_field():
     g = Grid(1, 64, 10.0)
     row = diagnostics_row(ComplexField(g, np.zeros(g.shape)),
                           DampingProfile.zero(g), gradient_window_rule(1.0))
-    assert row.mass_sq == 0.0
-    assert row.concentration_mass == 0.0
-    assert row.window_radius == 0.0
+    assert row["mass_sq"] == 0.0
+    assert row["conc_mass"] == 0.0
+    assert row["window_w"] == 0.0
 
 
 def test_csv_header_exact():
@@ -184,15 +173,17 @@ def test_csv_header_exact():
 
 
 def test_csv_line_roundtrips_floats():
-    row = _synthetic_row(0.5, 1.25, energy=-0.75, h_value=-1.0, int_a_u2=0.5)
-    parts = csv_line(row, 1).split(",")
+    table = row_table(t=[0.5, 1e-9], mass_sq=[1.25, math.pi], energy=[-0.75, 0.0],
+                      h_value=[-1.0, 0.0], int_a_u2=[0.5, 0.0])
+    lines = list(table.csv_lines())
+    parts = lines[0].split(",")
     assert len(parts) == 16
     assert float(parts[0]) == 0.5
     assert float(parts[1]) == 1.25
     assert float(parts[2]) == -0.75
-    line = csv_line(_synthetic_row(1e-9, math.pi), 1)
-    assert float(line.split(",")[0]) == 1e-9
-    assert float(line.split(",")[1]) == math.pi
+    assert float(lines[1].split(",")[0]) == 1e-9
+    assert float(lines[1].split(",")[1]) == math.pi
+    assert csv_line([0.5, 1.25, -0.75] + [0.0] * 13).split(",")[:3] == parts[:3]
 
 
 def test_mass_residual_free_soliton(gs_1d):
@@ -233,12 +224,10 @@ def test_momentum_decay_boosted_constant(gs_1d):
     a0 = 0.5
     a = DampingProfile.constant(g, a0)
     rec = _record(u0, a, gs_1d, record_every=10)
-    p0 = rec.rows[0].momentum[0]
+    t, p = rec.rows.column("t").tolist(), rec.rows.column("p_1").tolist()
+    p0 = p[0]
     assert p0 > 0.0
-    worst = max(
-        abs(r.momentum[0] - p0 * math.exp(-2.0 * a0 * r.time)) / p0
-        for r in rec.rows
-    )
+    worst = max(abs(p_t - p0 * math.exp(-2.0 * a0 * t_i)) / p0 for t_i, p_t in zip(t, p))
     assert worst < TOL["momentum_decay"]
 
 
@@ -252,9 +241,10 @@ def test_momentum_residual_boosted_bump(gs_1d):
 
 
 def test_momentum_residual_needs_aligned_fields(gs_1d):
-    rec = _record(gs_1d.field(), DampingProfile.zero(gs_1d.grid), gs_1d)
+    rows = _record(gs_1d.field(), DampingProfile.zero(gs_1d.grid), gs_1d).rows
+    first = row_table(**{name: rows.column(name)[:1] for name in rows.names})
     with pytest.raises(ValueError):
-        momentum_balance_residual(rec.rows[:1])
+        momentum_balance_residual(first)
 
 
 # A boosted ground state starts on the damping bump and moves off it; the
@@ -394,21 +384,22 @@ def test_zero_damping_row_peak_at_64_cubed():
 
 def _nan_rows(name, value):
     # Three rows of an exact undamped ledger, the middle one broken in one column.
-    rows = [_synthetic_row(t, 1.0) for t in (0.0, 0.5, 1.0)]
-    old = getattr(rows[1], name)
-    bad = tuple(value for _ in old) if isinstance(old, tuple) else value
-    rows[1] = dataclasses.replace(rows[1], **{name: bad})
-    return rows
+    columns = {"t": [0.0, 0.5, 1.0], "mass_sq": [1.0] * 3, "grad_sq": [1.0] * 3}
+    column = LEDGER_READS[name][0]
+    broken = list(columns.get(column, [0.0] * 3))
+    broken[1] = value
+    return row_table(**{**columns, column: broken})
 
 
+# (the rows.csv column, the ledgers that read it)
 LEDGER_READS = {
-    "time": ("mass", "energy", "momentum", "envelope"),
-    "mass_sq": ("mass", "envelope"),
-    "int_a_u2": ("mass",),
-    "energy": ("energy",),
-    "h_value": ("energy",),
-    "momentum": ("momentum",),
-    "int_a_im_grad": ("momentum",),
+    "time": ("t", ("mass", "energy", "momentum", "envelope")),
+    "mass_sq": ("mass_sq", ("mass", "envelope")),
+    "int_a_u2": ("int_a_u2", ("mass",)),
+    "energy": ("energy", ("energy",)),
+    "h_value": ("h_value", ("energy",)),
+    "momentum": ("p_1", ("momentum",)),
+    "int_a_im_grad": ("int_a_im_grad_1", ("momentum",)),
 }
 
 
@@ -420,7 +411,7 @@ def test_ledger_reports_non_finite_row(name, value):
     clean = _nan_rows("time", 0.5)
     assert balance_report(clean, a) == BalanceReport(0.0, 0.0, 0.0, True, 0.0)
     rows = _nan_rows(name, value)
-    reads = LEDGER_READS[name]
+    reads = LEDGER_READS[name][1]
     residuals = {
         "mass": mass_balance_residual(rows),
         "energy": energy_balance_residual(rows),
@@ -441,14 +432,14 @@ def test_envelope_holds_and_saturates(gs_1d):
     env = mass_envelope_check(rec.rows, a)
     assert env.ok
     # Constant damping makes the lower envelope an equality up to the slack.
-    u0_norm = math.sqrt(rec.rows[0].mass_sq)
+    u0_norm = math.sqrt(rec.rows.column("mass_sq")[0])
     assert 0.0 <= env.worst < 2e-8 * u0_norm
 
 
 def test_envelope_flags_synthetic_violation():
     g = Grid(1, 16, 5.0)
     a = DampingProfile.zero(g)
-    rows = [_synthetic_row(0.0, 1.0), _synthetic_row(1.0, 4.0)]
+    rows = row_table(t=[0.0, 1.0], mass_sq=[1.0, 4.0], grad_sq=[1.0, 1.0])
     env = mass_envelope_check(rows, a)
     assert not env.ok
     bal = balance_report(rows, a)
@@ -456,9 +447,9 @@ def test_envelope_flags_synthetic_violation():
     assert bal.max_envelope_violation == pytest.approx(1.0, abs=1e-6)
     assert bal.momentum_residual == 0.0
     with pytest.raises(ValueError):
-        mass_envelope_check([], a)
+        mass_envelope_check(row_table(), a)
     with pytest.raises(ValueError):
-        mass_balance_residual(rows[:1])
+        mass_balance_residual(row_table(t=[0.0], mass_sq=[1.0], grad_sq=[1.0]))
 
 
 def test_concentration_big_window_captures_profile(gs_1d):

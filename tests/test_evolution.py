@@ -330,6 +330,30 @@ def test_evolve_fft_budget(monkeypatch, dim, n):
     assert calls == {"forward": 11 + 1, "inverse": 11}
 
 
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 32)])
+def test_evolve_first_transform_holds_one_grid_array(monkeypatch, dim, n):
+    # evolve transforms u0 into one new array and leaves u0 unwritten; fftn
+    # without out= allocates one array per axis, so it would hold two.
+    held = []
+
+    def measured(x, *args, _fn=np.fft.fftn, **kwargs):
+        result = []
+        peak = traced_peak(lambda: result.append(_fn(x, *args, **kwargs)))
+        # An out= array the caller made for the transform counts too.
+        out = kwargs.get("out")
+        held.append((peak + (0 if out is None else out.nbytes)) / x.nbytes)
+        return result[0]
+
+    monkeypatch.setattr(np.fft, "fftn", measured)
+    g = Grid(dim, n, 10.0)
+    u0 = _gaussian_field(g)
+    before = u0.values.copy()
+    evolve(u0, DampingProfile.zero(g), SimConfig(dt0=1e-3, t_end=1e-3))
+    assert np.array_equal(u0.values, before)
+    print(f"first transform holds {held[0]:.2f} complex grid arrays")
+    assert held[0] < 1.5
+
+
 def _stepping_setup(dim, n):
     g = Grid(dim, n, 10.0)
     a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))

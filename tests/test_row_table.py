@@ -1,9 +1,7 @@
 """The columnar row table: rows read back bit for bit, the ledgers over its
-columns equal the per-row loops they replaced, a row costs 8 B a value, its
-CSV lines are the reference csv_line's, and rows computed in blocks equal
-one-snapshot rows."""
+columns equal per-row loops, a row costs 8 B a value, its CSV lines are the
+reference csv_line's, and rows computed in blocks equal one-snapshot rows."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from reference import csv_line
+from reference import csv_line, table_values
 
 from nlsdamp import (
     ComplexField,
@@ -33,7 +31,6 @@ from nlsdamp import (
     momentum_balance_residual,
 )
 from nlsdamp.diagnostics import (
-    DiagnosticsRow,
     EnvelopeCheck,
     SnapshotBlock,
     block_size,
@@ -42,7 +39,7 @@ from nlsdamp.diagnostics import (
 )
 
 
-# --- reference: the per-row loops the table's column arithmetic replaced ------
+# --- reference: per-row loops over rows keyed by rows.csv column ---------------
 
 def _loop_worst(defects, scale):
     worst = 0.0
@@ -56,15 +53,15 @@ def _loop_worst(defects, scale):
 def loop_mass_residual(rows):
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
-    m0 = rows[0].mass_sq
+    m0 = rows[0]["mass_sq"]
     if m0 == 0.0:
         return 0.0
 
     def defects():
         for r1, r2 in zip(rows, rows[1:]):
-            dt = r2.time - r1.time
-            integral = 0.5 * dt * (r1.int_a_u2 + r2.int_a_u2)
-            yield abs(r2.mass_sq - r1.mass_sq + 2.0 * integral)
+            dt = r2["t"] - r1["t"]
+            integral = 0.5 * dt * (r1["int_a_u2"] + r2["int_a_u2"])
+            yield abs(r2["mass_sq"] - r1["mass_sq"] + 2.0 * integral)
 
     return _loop_worst(defects(), m0)
 
@@ -72,13 +69,13 @@ def loop_mass_residual(rows):
 def loop_energy_residual(rows):
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
-    scale = max(1.0, abs(rows[0].energy))
+    scale = max(1.0, abs(rows[0]["energy"]))
 
     def defects():
         for r1, r2 in zip(rows, rows[1:]):
-            dt = r2.time - r1.time
-            integral = 0.5 * dt * (r1.h_value + r2.h_value)
-            yield abs(r2.energy - r1.energy - integral)
+            dt = r2["t"] - r1["t"]
+            integral = 0.5 * dt * (r1["h_value"] + r2["h_value"])
+            yield abs(r2["energy"] - r1["energy"] - integral)
 
     return _loop_worst(defects(), scale)
 
@@ -86,17 +83,18 @@ def loop_energy_residual(rows):
 def loop_momentum_residual(rows):
     if len(rows) < 2:
         raise ValueError("need at least two diagnostics rows")
-    scale = rows[0].mass_sq * math.sqrt(rows[0].grad_sq)
+    scale = rows[0]["mass_sq"] * math.sqrt(rows[0]["grad_sq"])
     if scale == 0.0:
         scale = 1.0
-    dim = len(rows[0].momentum)
+    dim = sum(name.startswith("p_") for name in rows[0])
 
     def defects():
         for r1, r2 in zip(rows, rows[1:]):
-            dt = r2.time - r1.time
-            for j in range(dim):
-                integral = 0.5 * dt * (r1.int_a_im_grad[j] + r2.int_a_im_grad[j])
-                yield abs(r2.momentum[j] - r1.momentum[j] + 2.0 * integral)
+            dt = r2["t"] - r1["t"]
+            for j in range(1, dim + 1):
+                p, ap = f"p_{j}", f"int_a_im_grad_{j}"
+                integral = 0.5 * dt * (r1[ap] + r2[ap])
+                yield abs(r2[p] - r1[p] + 2.0 * integral)
 
     return _loop_worst(defects(), scale)
 
@@ -104,13 +102,13 @@ def loop_momentum_residual(rows):
 def loop_envelope(rows, a):
     if not rows:
         raise ValueError("need at least one diagnostics row")
-    u0 = math.sqrt(rows[0].mass_sq)
+    u0 = math.sqrt(rows[0]["mass_sq"])
     eps = 1e-8 * u0
     worst = math.inf
     for r in rows:
-        val = math.sqrt(r.mass_sq)
-        upper = u0 * math.exp(a.sup_norm * r.time) + eps
-        lower = u0 * math.exp(-a.sup_norm * r.time) - eps
+        val = math.sqrt(r["mass_sq"])
+        upper = u0 * math.exp(a.sup_norm * r["t"]) + eps
+        lower = u0 * math.exp(-a.sup_norm * r["t"]) - eps
         margins = (upper - val, val - lower)
         if not all(map(math.isfinite, margins)):
             return EnvelopeCheck(ok=False, worst=math.nan)
@@ -120,12 +118,9 @@ def loop_envelope(rows, a):
 
 # --- helpers -------------------------------------------------------------------
 
-def _bits(row):
-    """The row's values as raw float64 bits, so NaN and -0.0 compare exactly."""
-    values = []
-    for value in dataclasses.astuple(row):
-        values += value if isinstance(value, tuple) else [value]
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+def _bits(values):
+    """Values as raw float64 bits, so NaN and -0.0 compare exactly."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 def _outcome(fn, *args):
@@ -156,18 +151,12 @@ FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64
 
 
 @st.composite
-def row_lists(draw, values=VALUES):
-    dim = draw(st.integers(1, 3))
-    rows = []
-    for _ in range(draw(st.integers(1, 6))):
-        kwargs = {}
-        for f in dataclasses.fields(DiagnosticsRow):
-            if f.name in ("momentum", "int_a_im_grad"):
-                kwargs[f.name] = tuple(draw(values) for _ in range(dim))
-            else:
-                kwargs[f.name] = draw(values)
-        rows.append(DiagnosticsRow(**kwargs))
-    return rows
+def row_matrices(draw, values=VALUES):
+    """A table of 1 to 6 rows at d = 1, 2 or 3, and its rows as lists of floats."""
+    table = RowTable(draw(st.integers(1, 3)))
+    matrix = [[draw(values) for _ in table.names] for _ in range(draw(st.integers(1, 6)))]
+    table.append_block(np.array(matrix, dtype=np.float64))
+    return table, matrix
 
 
 # --- tests ----------------------------------------------------------------------
@@ -185,41 +174,28 @@ def test_table_reads_back_every_row_bitwise():
     rec = _recorded_rows()
     table = rec.rows
     assert isinstance(table, RowTable) and len(table) == 11
-    odd = dataclasses.replace(table[0], time=-0.0, energy=math.nan, momentum=(math.inf,))
-    rows = list(table) + [odd]
-    table.append(odd)
-    assert len(table) == len(rows)
-    for i, row in enumerate(rows):
-        assert _bits(table[i]) == _bits(row)
-        assert _bits(table[i - len(rows)]) == _bits(row)
-        assert csv_line(table[i], 1) == csv_line(row, 1)
-    assert [_bits(r) for r in table[2:9:3]] == [_bits(r) for r in rows[2:9:3]]
-    assert len(table[5:]) == len(rows) - 5 and len(table[:0]) == 0
-    for bad in (len(rows), -len(rows) - 1):
-        with pytest.raises(IndexError):
-            table[bad]
-    assert list(table.csv_lines()) == [csv_line(r, 1) for r in rows]
     assert table.names == tuple(csv_header(1).split(","))
+    odd = table_values(table)[:1]
+    for name, value in (("t", -0.0), ("energy", math.nan), ("p_1", math.inf)):
+        odd[0, table.names.index(name)] = value
+    rows = np.concatenate([table_values(table), odd])
+    table.append_block(odd)
+    assert len(table) == len(rows)
+    for j, name in enumerate(table.names):
+        assert _bits(table.column(name)) == _bits(rows[:, j]), name
+    assert list(table.csv_lines()) == [csv_line(r) for r in rows.tolist()]
     mass = table.column("mass_sq")
-    assert mass.tolist() == [r.mass_sq for r in rows]
+    assert mass.tolist() == rows[:, 1].tolist()
     # A read-only view into the table, one value per row: no copy.
     assert not mass.flags.writeable and not mass.flags.owndata
     assert mass.strides == (8 * table.width,)
 
 
-def test_table_of_plain_rows_matches_recorded_table():
-    rec = _recorded_rows()
-    copy = RowTable.of(list(rec.rows))
-    assert RowTable.of(rec.rows) is rec.rows
-    assert copy.dim == 1
-    assert [_bits(r) for r in copy] == [_bits(r) for r in rec.rows]
-    with pytest.raises(ValueError):
-        RowTable.of([])
-
-
 @settings(max_examples=300, deadline=None)
-@given(rows=row_lists(), sup=st.floats(0.0, 3.0))
-def test_column_ledgers_equal_the_row_loops(rows, sup):
+@given(drawn=row_matrices(), sup=st.floats(0.0, 3.0))
+def test_column_ledgers_equal_the_row_loops(drawn, sup):
+    table, matrix = drawn
+    rows = [dict(zip(table.names, row)) for row in matrix]
     a = DampingProfile.constant(Grid(1, 16, 5.0), sup)
     pairs = [
         (mass_balance_residual, loop_mass_residual),
@@ -227,11 +203,9 @@ def test_column_ledgers_equal_the_row_loops(rows, sup):
         (momentum_balance_residual, loop_momentum_residual),
     ]
     for table_fn, loop_fn in pairs:
-        got, want = _outcome(table_fn, rows), _outcome(loop_fn, rows)
+        got, want = _outcome(table_fn, table), _outcome(loop_fn, rows)
         assert _same(got, want), (table_fn.__name__, got, want)
-        if len(rows) >= 2:
-            assert _same(_outcome(table_fn, RowTable.of(rows)), want)
-    got, want = _outcome(mass_envelope_check, rows, a), _outcome(loop_envelope, rows, a)
+    got, want = _outcome(mass_envelope_check, table, a), _outcome(loop_envelope, rows, a)
     assert _same(got, want), (got, want)
 
 
@@ -257,10 +231,10 @@ def test_recorded_row_retains_at_most_two_values_of_8_bytes_per_column():
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=row_lists(st.one_of(VALUES, FLOAT_BITS)))
-def test_csv_lines_equal_csv_line_bytewise(rows):
-    table = RowTable.of(rows)
-    assert list(table.csv_lines()) == [csv_line(r, table.dim) for r in rows]
+@given(drawn=row_matrices(st.one_of(VALUES, FLOAT_BITS)))
+def test_csv_lines_equal_csv_line_bytewise(drawn):
+    table, matrix = drawn
+    assert list(table.csv_lines()) == [csv_line(row) for row in matrix]
 
 
 def _snapshot(g, rng, kind):
@@ -306,7 +280,7 @@ def test_blocked_rows_equal_one_snapshot_rows(dim, kinds, read_at, seed):
     table = rec.rows
     assert len(table) == len(kinds) and len(rec.rows) == len(kinds)
     want = np.array(expected)
-    got = np.array([table.column(name) for name in table.names]).T
+    got = table_values(table)
     scale = np.abs(want).max(axis=0)
     assert (np.abs(got - want) <= 1e-13 * scale).all(), np.abs(got - want).max(axis=0) / scale
     radius = table.column("window_w")

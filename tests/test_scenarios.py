@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import diagnostics_row
+from reference import diagnostics_row, row_table
 
 from nlsdamp import (
     BlowupReport,
@@ -30,7 +30,7 @@ from nlsdamp import (
     norms,
     run_scenario,
 )
-from nlsdamp.diagnostics import DiagnosticsRow, csv_header
+from nlsdamp.diagnostics import csv_header
 from nlsdamp.scenarios import (
     CLAIMS,
     STATUS_FAIL,
@@ -109,16 +109,6 @@ def _report(blew_up=False, t_detect=1.0, peak_grad_sq=1.0,
     return BlowupReport(
         blew_up=blew_up, t_detect=t_detect, peak_grad_sq=peak_grad_sq,
         scale_at_detect=1.0, stop_reason=stop, terminal_mass_sq=terminal_mass_sq,
-    )
-
-
-def _row(time, mass_sq, grad_sq=1.0, window_radius=1.0, concentration_mass=0.0):
-    return DiagnosticsRow(
-        time=time, mass_sq=mass_sq, energy=0.0, momentum=(0.0,),
-        grad_sq=grad_sq, lp_power=0.0, h_value=0.0, int_a_u2=0.0,
-        int_a_grad2=0.0, int_a_lp=0.0, re_grad_a_term=0.0, int_a_im_grad=(0.0,),
-        dt_used=0.0, tail_fraction=0.0, concentration_mass=concentration_mass,
-        window_radius=window_radius,
     )
 
 
@@ -266,8 +256,7 @@ def test_build_initial_scaled_and_boosted(gs_1d):
     )
     assert norms(boosted).mass_sq == pytest.approx(gs_1d.mass_sq, rel=1e-12)
     row = diagnostics_row(boosted, DampingProfile.zero(grid), lambda _: 1.0)
-    assert row.momentum[0] == pytest.approx(v * gs_1d.mass_sq,
-                                            rel=TOL["boosted_momentum"])
+    assert row["p_1"] == pytest.approx(v * gs_1d.mass_sq, rel=TOL["boosted_momentum"])
 
 
 def test_build_initial_requires_matching_ground_state(gs_1d):
@@ -363,12 +352,12 @@ def test_check_global_existence_gating(gs_1d):
     bump = DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0)
     cfg = _cfg(bump)
     m0 = 0.81 * gs_1d.mass_sq
-    rows = [_row(0.0, m0), _row(1.0, 0.9 * m0), _row(2.0, 0.8 * m0)]
+    rows = row_table(t=[0.0, 1.0, 2.0], mass_sq=[m0, 0.9 * m0, 0.8 * m0], grad_sq=[1.0] * 3)
 
     skip = check_claim("global_existence", _report(), rows, _cfg(DampingSpec("zero")), gs_1d)
     assert skip.status == STATUS_NOT_APPLICABLE
 
-    heavy = [_row(0.0, 1.02 * gs_1d.mass_sq)]
+    heavy = row_table(mass_sq=[1.02 * gs_1d.mass_sq], grad_sq=[1.0])
     above = check_claim("global_existence", _report(), heavy, cfg, gs_1d)
     assert above.status == STATUS_NOT_APPLICABLE
 
@@ -383,7 +372,7 @@ def test_check_global_existence_gating(gs_1d):
     good = check_claim("global_existence", _report(peak_grad_sq=2.0), rows, cfg, gs_1d)
     assert good.status == STATUS_PASS
 
-    wobble = [_row(0.0, m0), _row(1.0, 0.9 * m0), _row(2.0, 0.95 * m0)]
+    wobble = row_table(t=[0.0, 1.0, 2.0], mass_sq=[m0, 0.9 * m0, 0.95 * m0], grad_sq=[1.0] * 3)
     broken = check_claim("global_existence", _report(peak_grad_sq=2.0), wobble, cfg, gs_1d)
     assert broken.status == STATUS_FAIL
     assert "not strictly decreasing" in broken.notes
@@ -393,13 +382,13 @@ def test_check_blowup_time_bound_gating(gs_1d):
     neg = DampingSpec("negative_bump", amplitude=1.0, sigma=2.0)
     cfg = _cfg(neg)
     m0 = 0.81 * gs_1d.mass_sq
-    rows = [_row(0.0, m0)]
+    rows = row_table(mass_sq=[m0], grad_sq=[1.0])
     bound = math.log(1.0 / 0.9)
 
     skip = check_claim("blowup_time_bound", _report(), rows, cfg, gs_1d)
     assert skip.status == STATUS_NOT_APPLICABLE
 
-    heavy = [_row(0.0, gs_1d.mass_sq)]
+    heavy = row_table(mass_sq=[gs_1d.mass_sq], grad_sq=[1.0])
     above = check_claim("blowup_time_bound", _report(blew_up=True), heavy, cfg, gs_1d)
     assert above.status == STATUS_NOT_APPLICABLE
 
@@ -443,40 +432,49 @@ def test_check_concentration_gating(gs_1d):
                initial=InitialSpec("scaled_ground_state", scale=1.2))
     blew = _report(blew_up=True, stop=StopReason.TAIL_UNRESOLVED)
 
-    calm = check_claim("concentration", _report(), [], cfg, gs_1d)
+    calm = check_claim("concentration", _report(), row_table(), cfg, gs_1d)
     assert calm.status == STATUS_NOT_APPLICABLE
 
-    sparse = [_row(0.0, 1.0, grad_sq=1.0), _row(1.0, 1.0, grad_sq=1e8)]
+    def rows(grad_sq, window_w, conc_mass=0.0):
+        k = len(grad_sq)
+        return row_table(t=[0.1 * i for i in range(k)], mass_sq=[1.0] * k, grad_sq=grad_sq,
+                         window_w=[window_w] * k, conc_mass=[conc_mass] * k)
+
+    sparse = rows([1.0, 1e8], 1.0)
     few = check_claim("concentration", blew, sparse, cfg, gs_1d)
     assert few.status == STATUS_NOT_APPLICABLE
     assert "rows" in few.notes
 
-    tiny_w = [_row(0.1 * i, 1.0, grad_sq=4.0, window_radius=0.1) for i in range(6)]
+    tiny_w = rows([4.0] * 6, 0.1)
     guard = check_claim("concentration", blew, tiny_w, cfg, gs_1d)
     assert guard.status == STATUS_NOT_APPLICABLE
     assert "window-rule guard" in guard.notes
 
-    flat = [_row(0.1 * i, 1.0, grad_sq=4.0, window_radius=0.5) for i in range(6)]
+    flat = rows([4.0] * 6, 0.5)
     stalled = check_claim("concentration", blew, flat, cfg, gs_1d)
     assert stalled.status == STATUS_NOT_APPLICABLE
     assert "no growth" in stalled.notes
 
-    growing = [
-        _row(0.1 * i, 1.0, grad_sq=4.0 * 1.5**i, window_radius=0.5,
-             concentration_mass=0.95 * gs_1d.mass_sq)
-        for i in range(6)
-    ]
+    growth = [4.0 * 1.5**i for i in range(6)]
+    growing = rows(growth, 0.5, 0.95 * gs_1d.mass_sq)
     good = check_claim("concentration", blew, growing, cfg, gs_1d)
     assert good.status == STATUS_PASS
     assert good.observed == pytest.approx(0.95, rel=1e-12)
 
-    weak = [
-        _row(0.1 * i, 1.0, grad_sq=4.0 * 1.5**i, window_radius=0.5,
-             concentration_mass=0.5 * gs_1d.mass_sq)
-        for i in range(6)
-    ]
+    weak = rows(growth, 0.5, 0.5 * gs_1d.mass_sq)
     low = check_claim("concentration", blew, weak, cfg, gs_1d)
     assert low.status == STATUS_INCONCLUSIVE
+
+    # A NaN ‖∇u‖² falls out of the final decade (NaN >= x is false), and the
+    # largest gradient is taken over the other rows; a NaN in the first row
+    # makes that maximum NaN, so no row is in the final decade.
+    gap = rows(growth[:3] + [math.nan] + growth[3:], 0.5, 0.95 * gs_1d.mass_sq)
+    holed = check_claim("concentration", blew, gap, cfg, gs_1d)
+    assert (holed.status, holed.observed) == (good.status, good.observed)
+    lead = rows([math.nan] + growth, 0.5, 0.95 * gs_1d.mass_sq)
+    headless = check_claim("concentration", blew, lead, cfg, gs_1d)
+    assert headless.status == STATUS_NOT_APPLICABLE
+    assert headless.notes == "only 0 rows in the final decade of gradient growth"
 
 
 # --- scenario runner ---------------------------------------------------------
