@@ -7,7 +7,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "mass_envelope_check",
     "BalanceReport",
     "balance_report",
-    "ConcentrationResult",
-    "DensityBlock",
     "concentration_mass",
     "gn_ratio",
     "sharp_gn_constant",
@@ -230,7 +228,8 @@ def _windows(
     The radius is the rule's, kept inside the fundamental cell (the rule may
     blow up when the field has no gradient content). A zero-mass snapshot
     gets radius 0; one whose radius is not positive gets no window, mass 0,
-    and its radius raised to 0 (a NaN radius stays NaN).
+    and its radius raised to 0 (a NaN radius stays NaN). The masses are one
+    concentration_mass call on the block, or on its rows that have a window.
     """
     radius = np.zeros_like(mass_sq)
     live = mass_sq != 0.0
@@ -239,9 +238,9 @@ def _windows(
     conc = np.zeros_like(mass_sq)
     inside = radius > 0.0
     if inside.all():
-        conc = concentration_mass(DensityBlock(g, abs2), radius).value
+        conc = concentration_mass(g, abs2, radius)
     elif inside.any():
-        conc[inside] = concentration_mass(DensityBlock(g, abs2[inside]), radius[inside]).value
+        conc[inside] = concentration_mass(g, abs2[inside], radius[inside])
     np.maximum(radius, 0.0, out=radius)
     return conc, radius
 
@@ -486,22 +485,6 @@ def balance_report(
     )
 
 
-@dataclass(frozen=True)
-class ConcentrationResult:
-    """The largest windowed mass and the center of its ball: a float and a
-    tuple for one field, arrays of shape (k,) and (k, d) for a block of k."""
-
-    value: Union[float, np.ndarray]
-    center: Union[Tuple[float, ...], np.ndarray]
-
-
-class DensityBlock(NamedTuple):
-    """|u|² of k snapshots on one grid, along a leading axis."""
-
-    grid: Grid
-    values: np.ndarray
-
-
 def _grid_r2(dim: int, n: int, half_width: float) -> np.ndarray:
     """Squared distance of every grid point from the center index."""
     sq = Grid(1, n, half_width).axis ** 2
@@ -532,13 +515,11 @@ def _ball_spectrum(dim: int, n: int, half_width: float, r2_max: float) -> np.nda
     return _read_only(np.fft.rfftn(ball))
 
 
-def concentration_mass(
-    field_: Union[ComplexField, DensityBlock], w: Union[float, np.ndarray]
-) -> ConcentrationResult:
+def concentration_mass(g: Grid, abs2: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Largest windowed mass sup_y ∫_{|x-y|<=w} |u|² over grid-centered balls.
 
-    `field_` is one ComplexField with one radius w, or a DensityBlock of k
-    snapshots with one radius each in w; a field is the block of one.
+    `abs2` is the (k, *g.shape) block of |u|² of k snapshots on `g`, and `w`
+    holds one radius per snapshot; returns the k masses.
     Evaluated for every center at once: the ball is the set of grid offsets
     whose coordinate r² is at most w² (periodic distance). In 1-D that set
     is one run of offsets, summed by one periodic prefix sum per block; for
@@ -546,12 +527,7 @@ def concentration_mass(
     over the block. The spectrum of the last ball is kept, keyed by the
     grid's layout and the largest grid r² at most w², so windows whose balls
     hold the same grid points reuse it.
-    Ties resolve to the smallest lexicographic grid index.
     """
-    one = isinstance(field_, ComplexField)
-    g = field_.grid
-    abs2 = _abs2(field_.values)[None] if one else field_.values
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     bad = ~((0.0 < w) & (w < g.half_width))
     if bad.any():
         raise ValueError(f"window radius must lie in (0, {g.half_width}), got {w[bad][0]}")
@@ -585,12 +561,7 @@ def concentration_mass(
         for s, r2 in zip(spectrum, r2_max.tolist()):
             s *= _ball_spectrum(*layout, r2)
         windowed = np.fft.irfftn(spectrum, s=g.shape, axes=axes).reshape(k, -1)
-    idx = windowed.argmax(axis=1)
-    value = windowed[np.arange(k), idx] * g.cell_volume
-    center = g.axis[np.array(np.unravel_index(idx, g.shape)).T]
-    if one:
-        return ConcentrationResult(float(value[0]), tuple(center[0].tolist()))
-    return ConcentrationResult(value, center)
+    return windowed.max(axis=1) * g.cell_volume
 
 
 def gn_ratio(field_: ComplexField) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -256,22 +257,9 @@ def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:
     return max(cfg.dt_min, min(cfg.dt0, cfg.adapt_const / grad_sq))
 
 
-def _tail_mask(grid: Grid) -> np.ndarray:
-    # Outer third of wavenumbers, per axis: max_j |k_j| beyond 2/3 of Nyquist.
-    k_abs = [np.abs(k) for k in grid.k_mesh]
-    k_max = float(np.max(np.abs(grid.wavenumbers)))
-    cheb = k_abs[0]
-    for k in k_abs[1:]:
-        cheb = np.maximum(cheb, k)
-    return cheb > (2.0 / 3.0) * k_max
-
-
-def _boundary_mask(grid: Grid) -> np.ndarray:
-    x_abs = [np.abs(c) for c in grid.coords]
-    cheb = x_abs[0]
-    for c in x_abs[1:]:
-        cheb = np.maximum(cheb, c)
-    return cheb >= 0.9 * grid.half_width
+def _chebyshev(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """max_j |v_j| over the grid, for `values` v along each axis: one full array."""
+    return functools.reduce(np.maximum, np.ix_(*(np.abs(values),) * grid.dim))
 
 
 def evolve(
@@ -300,6 +288,8 @@ def evolve(
     boundary-mass flag is raised when a step's mid-step field, the one the
     kick acts on, holds more than BOUNDARY_MASS_LIMIT of its mass in the
     outer 10% of the box (max_j |x_j| >= 0.9 L); it is checked on every step.
+    Both masks threshold max_j |k_j| or max_j |x_j|, built from the 1-D
+    wavenumbers or axis (`_chebyshev`), not from the full-grid meshes.
 
     `ref_grad_sq` supplies the reference gradient integral (normally the
     matching ground state's) used for scale_at_detect = ‖∇Q‖/‖∇u(t_detect)‖;
@@ -309,8 +299,10 @@ def evolve(
     if a.grid is not grid and not a.grid.same_layout(grid):
         raise ConfigurationError("damping profile and initial data live on different grids")
     kernel = _StrangKernel(grid, a)
-    tail_w = _tail_mask(grid).ravel().astype(np.float64)
-    edge_w = _boundary_mask(grid).ravel().astype(np.float64)
+    # Outer third of wavenumbers, per axis: max_j |k_j| beyond 2/3 of Nyquist.
+    k_max = float(np.max(np.abs(grid.wavenumbers)))
+    tail_w = (_chebyshev(grid, grid.wavenumbers) > (2.0 / 3.0) * k_max).ravel().astype(np.float64)
+    edge_w = (_chebyshev(grid, grid.axis) >= 0.9 * grid.half_width).ravel().astype(np.float64)
     mass_per_total = grid.cell_volume / grid.size
 
     # Into one new array, so u0 is never written: without out=, fftn

@@ -1,11 +1,20 @@
 """Reference oracles for the tests: the closed-form 1-D ground state, one
 unmerged Strang step built from the integrator's own kernel, one snapshot's
-block and diagnostics row, a row table from named columns, and one row's
-rows.csv line formatted value by value."""
+block and diagnostics row, one field's windowed mass, a row table from named
+columns, one row's rows.csv line formatted value by value, and the tail and
+edge masks built from the full-grid meshes."""
 
 import numpy as np
 
-from nlsdamp import ComplexField, DampingProfile, EvolutionState, RowTable, compute_row
+from nlsdamp import (
+    ComplexField,
+    DampingProfile,
+    EvolutionState,
+    Grid,
+    RowTable,
+    compute_row,
+    concentration_mass,
+)
 from nlsdamp.diagnostics import SnapshotBlock
 from nlsdamp.evolution import _StrangKernel
 from nlsdamp.reporting import format_float
@@ -55,6 +64,12 @@ def diagnostics_row(field: ComplexField, a: DampingProfile, w_rule, dt_used=0.0,
     return dict(zip(RowTable(field.grid.dim).names, values.tolist()))
 
 
+def windowed_mass(field: ComplexField, w: float) -> float:
+    """The largest mass of `field` in a ball of radius w: its block of one."""
+    abs2 = field.values.real**2 + field.values.imag**2
+    return concentration_mass(field.grid, abs2[None], np.array([w]))[0]
+
+
 def row_table(dim: int = 1, **columns) -> RowTable:
     """A table of the rows.csv columns named, all of one length; any other column is 0."""
     table = RowTable(dim)
@@ -75,3 +90,22 @@ def table_values(table: RowTable) -> np.ndarray:
 def csv_line(values) -> str:
     """The rows.csv line of one row's values, each through reporting.format_float."""
     return ",".join(format_float(v) for v in values)
+
+
+def tail_mask(grid: Grid) -> np.ndarray:
+    """max_j |k_j| beyond 2/3 of Nyquist, from the full-grid wavenumber meshes."""
+    k_abs = [np.abs(k) for k in grid.k_mesh]
+    k_max = float(np.max(np.abs(grid.wavenumbers)))
+    cheb = k_abs[0]
+    for k in k_abs[1:]:
+        cheb = np.maximum(cheb, k)
+    return cheb > (2.0 / 3.0) * k_max
+
+
+def boundary_mask(grid: Grid) -> np.ndarray:
+    """max_j |x_j| >= 0.9 L, from the full-grid coordinate meshes."""
+    x_abs = [np.abs(c) for c in grid.coords]
+    cheb = x_abs[0]
+    for c in x_abs[1:]:
+        cheb = np.maximum(cheb, c)
+    return cheb >= 0.9 * grid.half_width

@@ -1,5 +1,6 @@
-"""Property checks: the windowed mass, by prefix sum in 1-D and by a cached
-real ball spectrum for d ≥ 2, against the FFT circular convolution."""
+"""Property checks: the windowed masses of a block, by prefix sum in 1-D and
+by a cached real ball spectrum for d ≥ 2, against the FFT circular
+convolution and against one call per snapshot."""
 
 import gc
 import weakref
@@ -7,6 +8,8 @@ import weakref
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from reference import windowed_mass
 
 from nlsdamp import ComplexField, Grid, concentration_mass
 
@@ -22,38 +25,54 @@ def fft_windowed_mass(grid, values, w):
     return np.fft.ifftn(np.fft.fftn(abs2) * np.fft.fftn(ball)).real * grid.cell_volume
 
 
+def _block_masses(grid, values, windows):
+    """The windowed masses of k copies of one density, one window each, in
+    one call; they must equal k calls on the block of one, bit for bit."""
+    abs2 = values.real**2 + values.imag**2
+    block = np.repeat(abs2[None], len(windows), axis=0)
+    masses = concentration_mass(grid, block, np.array(windows))
+    field = ComplexField(grid, values)
+    assert np.array_equal(masses, [windowed_mass(field, w) for w in windows])
+    return masses
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     log2_n=st.integers(3, 10),
     half_width=st.floats(0.5, 30.0),
     envelope=st.floats(0.05, 50.0),
-    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    nudge=st.sampled_from([None, -1, 0, 1]),
+    picks=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([None, -1, 0, 1]),
+        ),
+        min_size=1, max_size=6,
+    ),
 )
-def test_prefix_sum_window_matches_fft_convolution(
-    seed, log2_n, half_width, envelope, fraction, nudge
-):
+def test_prefix_sum_window_matches_fft_convolution(seed, log2_n, half_width, envelope, picks):
     g = Grid(1, 2**log2_n, half_width)
     n = g.points_per_axis
     rng = np.random.default_rng(seed)
     values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(
         -((g.axis / envelope) ** 2)
     )
-    if nudge is None:
-        w = fraction * half_width
-    else:
-        # A grid offset |x_j| itself, or one ulp either side of it.
-        j = 1 + int(fraction * (n - 1))
-        offset = abs(float(g.axis[j]))
-        w = offset if nudge == 0 else float(np.nextafter(offset, nudge * np.inf))
-    assume(0.0 < w < half_width)
-    ref = fft_windowed_mass(g, values, w)
+    windows = []
+    for fraction, nudge in picks:
+        if nudge is None:
+            w = fraction * half_width
+        else:
+            # A grid offset |x_j| itself, or one ulp either side of it.
+            j = 1 + int(fraction * (n - 1))
+            offset = abs(float(g.axis[j]))
+            w = offset if nudge == 0 else float(np.nextafter(offset, nudge * np.inf))
+        if 0.0 < w < half_width:
+            windows.append(w)
+    assume(windows)
     total = g.integrate(values.real**2 + values.imag**2)
-    res = concentration_mass(ComplexField(g, values), w)
-    assert abs(res.value - ref.max()) <= TOL["prefix_sum_window"] * total
-    (i,) = np.flatnonzero(g.axis == res.center[0])
-    assert abs(ref[i] - ref.max()) <= TOL["prefix_sum_window"] * total
+    for w, mass in zip(windows, _block_masses(g, values, windows)):
+        ref = fft_windowed_mass(g, values, w)
+        assert abs(mass - ref.max()) <= TOL["prefix_sum_window"] * total
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,6 +98,7 @@ def test_ball_spectrum_window_matches_fft_convolution(seed, dim, log2_n, half_wi
     radii = np.union1d(np.sqrt(np.unique(r2)), np.abs(g.axis))
     # Windows shrink, then grow again: every radius is visited twice and
     # neighbouring radii, or one radius nudged by an ulp, share a ball or not.
+    # One block holds them all, so one call crosses and reuses the balls.
     windows = []
     for fraction, nudge in sorted(picks, reverse=True) + sorted(picks):
         w = float(radii[int(fraction * radii.size)])
@@ -86,19 +106,17 @@ def test_ball_spectrum_window_matches_fft_convolution(seed, dim, log2_n, half_wi
             w = float(np.nextafter(w, nudge * np.inf))
         if 0.0 < w < half_width:
             windows.append(w)
-    for w in windows:
+    assume(windows)
+    for w, mass in zip(windows, _block_masses(g, values, windows)):
         ref = fft_windowed_mass(g, values, w)
-        res = concentration_mass(ComplexField(g, values), w)
-        assert abs(res.value - ref.max()) <= TOL["ball_spectrum_window"] * total
-        idx = tuple(int(np.flatnonzero(g.axis == c)[0]) for c in res.center)
-        assert abs(ref[idx] - ref.max()) <= TOL["ball_spectrum_window"] * total
+        assert abs(mass - ref.max()) <= TOL["ball_spectrum_window"] * total
 
 
 def test_ball_cache_keeps_no_grid_alive():
     # The cache is keyed by the grid's layout, so the grid and its full-grid
     # arrays go once its last user does.
     g = Grid(2, 32, 6.0)
-    concentration_mass(ComplexField(g, np.ones(g.shape, dtype=np.complex128)), 1.0)
+    windowed_mass(ComplexField(g, np.ones(g.shape, dtype=np.complex128)), 1.0)
     ref = weakref.ref(g)
     del g
     gc.collect()

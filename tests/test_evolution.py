@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from reference import field_of, state_of, strang_step
+from reference import boundary_mask, field_of, state_of, strang_step, tail_mask
 
 from nlsdamp import (
     ComplexField,
@@ -23,6 +23,7 @@ from nlsdamp import (
 from nlsdamp.diagnostics import random_smooth_field
 from nlsdamp.evolution import (
     BOUNDARY_MASS_LIMIT,
+    _chebyshev,
     _dt_from_grad,
     _spectral_norms,
     _StrangKernel,
@@ -352,6 +353,41 @@ def test_evolve_first_transform_holds_one_grid_array(monkeypatch, dim, n):
     assert np.array_equal(u0.values, before)
     print(f"first transform holds {held[0]:.2f} complex grid arrays")
     assert held[0] < 1.5
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 128), (3, 32)])
+def test_evolve_masks_match_full_grid_reference(monkeypatch, dim, n):
+    # The tail and edge weights evolve passes on, bit for bit the masks
+    # built from the full-grid meshes.
+    seen = {}
+
+    def norms_spy(u_hat, grid, tail_w, _fn=_spectral_norms):
+        seen["tail"] = tail_w
+        return _fn(u_hat, grid, tail_w)
+
+    def advance_spy(self, u_hat, h, dt, edge_w=None, _fn=_StrangKernel.advance):
+        seen["edge"] = edge_w
+        return _fn(self, u_hat, h, dt, edge_w)
+
+    monkeypatch.setattr("nlsdamp.evolution._spectral_norms", norms_spy)
+    monkeypatch.setattr(_StrangKernel, "advance", advance_spy)
+    g = Grid(dim, n, 10.0)
+    evolve(_gaussian_field(g), DampingProfile.zero(g), SimConfig(dt0=1e-3, t_end=1e-3))
+    assert np.array_equal(seen["tail"], tail_mask(g).ravel().astype(np.float64))
+    assert np.array_equal(seen["edge"], boundary_mask(g).ravel().astype(np.float64))
+
+
+def test_mask_weight_holds_under_one_grid_array():
+    # One weight built from the 1-D axis peaks at 0.77 complex grid arrays
+    # of traced allocation at 32³ (0.56 at 64³); the builders from the
+    # full-grid meshes peak at 2.50 at both.
+    g = Grid(3, 32, 10.0)
+    grid_bytes = 16 * g.size
+    peak = traced_peak(
+        lambda: (_chebyshev(g, g.axis) >= 0.9 * g.half_width).ravel().astype(np.float64)
+    )
+    print(f"one mask weight peaks at {peak / grid_bytes:.2f} complex grid arrays")
+    assert peak < 1.0 * grid_bytes
 
 
 def _stepping_setup(dim, n):

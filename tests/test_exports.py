@@ -8,9 +8,13 @@ import pytest
 import nlsdamp
 
 MODULES = ["nlsdamp"] + [f"nlsdamp.{m.name}" for m in pkgutil.iter_modules(nlsdamp.__path__)]
-# Test oracles that moved to tests/reference.py, and the row object that rows
-# as a RowTable of columns replaced; the package no longer defines them.
-RETIRED = ["strang_step", "closed_form_q_1d", "csv_line", "DiagnosticsRow"]
+# Test oracles that moved to tests/reference.py, the row object that rows
+# as a RowTable of columns replaced, and the window result and density block
+# that block-only windows replaced; the package no longer defines them.
+RETIRED = [
+    "strang_step", "closed_form_q_1d", "csv_line", "DiagnosticsRow",
+    "ConcentrationResult", "DensityBlock", "_tail_mask", "_boundary_mask",
+]
 
 
 @pytest.mark.parametrize("module", MODULES)
