@@ -296,7 +296,7 @@ def evolve(
     without it the reference defaults to 1.
     """
     grid = u0.grid
-    if a.grid is not grid and not a.grid.same_layout(grid):
+    if a.grid != grid:
         raise ConfigurationError("damping profile and initial data live on different grids")
     kernel = _StrangKernel(grid, a)
     # Outer third of wavenumbers, per axis: max_j |k_j| beyond 2/3 of Nyquist.

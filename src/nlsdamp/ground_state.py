@@ -10,7 +10,7 @@ at 2-D 128² and from 66 to 14 at 3-D 64³.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -42,14 +42,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GroundState:
-    """A converged profile with its integrals and final PDE residual."""
+    """A converged profile and its final PDE residual; the integrals are
+    the profile's own, formed from it on construction."""
 
     grid: Grid
     profile: np.ndarray
-    mass_sq: float
-    grad_sq: float
-    lp_power: float
     residual: float
+    mass_sq: float = field(init=False)
+    grad_sq: float = field(init=False)
+    lp_power: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        nm = norms(self.field())
+        object.__setattr__(self, "mass_sq", nm.mass_sq)
+        object.__setattr__(self, "grad_sq", nm.grad_sq)
+        object.__setattr__(self, "lp_power", nm.lp_power)
 
     @property
     def energy(self) -> float:
@@ -145,7 +152,7 @@ def solve_ground_state(
     pass forms the spectra of Q and |Q|^(4/d) Q once; they give the residual
     of the current iterate, the quotient S and G(Q), so a pass costs two
     forward and one inverse real FFT. The history of two G values and two
-    steps is updated in place and released before the final norms.
+    steps is released before the profile's norms are formed.
 
     Raises ConvergenceError if the iterate collapses toward zero or the
     residual fails to reach `tol` within `max_iter` iterations.
@@ -178,10 +185,9 @@ def solve_ground_state(
         if updates:
             last_residual = _residual(grid, helmholtz, weight, q_hat, nonlin_hat)
             if last_residual < tol:
-                g_hist.clear()
-                f_hist.clear()
-                nm = norms(ComplexField(grid, q))
-                return GroundState(grid, q, nm.mass_sq, nm.grad_sq, nm.lp_power, last_residual)
+                # The history goes first, so the profile's norms do not add to it.
+                del g, f, g_hist, f_hist
+                return GroundState(grid, q, last_residual)
             if updates == max_iter:
                 break
         coupling = (nonlin * q).sum() * vol
@@ -193,32 +199,21 @@ def solve_ground_state(
         quad = weight * helmholtz * (q_hat.real**2 + q_hat.imag**2)
         s = quad.sum() * vol / grid.size / coupling
         g = float(s) ** gamma * np.fft.irfftn(inv_helmholtz * nonlin_hat, s=grid.shape, axes=axes)
-        # The step G(Q) - Q, in the buffer of the iterate it leaves.
-        f = np.subtract(g, q, out=q)
-        coefs = _anderson_coefficients(f, f_hist)
-        g_hist.insert(0, g)
-        f_hist.insert(0, f)
+        f = g - q
         # No history, or a singular system: the plain update Q <- G(Q).
-        if coefs is None:
-            coefs = [0.0] * (len(g_hist) - 1)
-        terms = list(zip([1.0 - sum(coefs)] + coefs, g_hist))
-        # Beyond depth 2 the oldest pair's buffers take the next iterate
-        # Q <- Σ w_j G_j and a scratch term; its oldest term goes first, since
-        # Q may hold it.
-        if len(g_hist) > 2:
-            q, tmp = g_hist.pop(), f_hist.pop()
-        else:
-            q, tmp = np.empty_like(g), np.empty_like(g)
+        coefs = _anderson_coefficients(f, f_hist) or [0.0] * len(f_hist)
+        # Q <- Σ w_j G_j, its oldest term first.
+        terms = list(zip([1.0 - sum(coefs)] + coefs, [g] + g_hist))
         w, h = terms.pop()
-        np.multiply(h, w, out=q)
+        q = h * w
         for w, h in terms:
-            q += np.multiply(h, w, out=tmp)
+            q += h * w
+        g_hist, f_hist = [g] + g_hist[:1], [f] + f_hist[:1]
         peak = np.unravel_index(int(np.argmax(q)), q.shape)
         shift = tuple(center - p for p in peak)
         if any(shift):
             q = np.roll(q, shift, axis=axes)
-            g_hist.clear()
-            f_hist.clear()
+            g_hist, f_hist = [], []
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {last_residual:.3e})",
         residual=last_residual,
@@ -242,6 +237,6 @@ def pohozaev_residuals(gs: GroundState) -> PohozaevResiduals:
     d = gs.grid.dim
     if not gs.grad_sq > 0:
         raise ValueError("gradient integral must be positive")
-    energy_res = abs(0.5 * gs.grad_sq - d / (4.0 + 2.0 * d) * gs.lp_power) / gs.grad_sq
+    energy_res = abs(gs.energy) / gs.grad_sq
     gradient_res = abs(gs.lp_power - (d + 2.0) / d * gs.grad_sq) / gs.grad_sq
     return PohozaevResiduals(energy_res, gradient_res)

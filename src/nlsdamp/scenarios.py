@@ -22,7 +22,7 @@ from .diagnostics import (
     gradient_window_rule,
 )
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
-from .ground_state import GroundState, solve_ground_state
+from .ground_state import GroundState, pde_residual, solve_ground_state
 from .reporting import dump_json, format_float
 from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite, _zero_view
 
@@ -343,7 +343,7 @@ def build_initial(grid: Grid, spec: InitialSpec, gs: Optional[GroundState]) -> C
         return ComplexField(grid, vals.astype(np.complex128))
     if gs is None:
         raise ConfigurationError(f"initial data {spec.kind!r} needs a ground state")
-    if not gs.grid.same_layout(grid):
+    if gs.grid != grid:
         raise ConfigurationError("ground state was solved on a different grid")
     vals = spec.scale * gs.profile.astype(np.complex128)
     if spec.kind == "boosted_ground_state":
@@ -375,10 +375,12 @@ def _load_ground_state(path: Path, grid: Grid, tol: float) -> GroundState:
             raise ValueError(
                 f"profile is {profile.dtype} {profile.shape}, need float64 {grid.shape}"
             )
-        scalars = [float(data[k]) for k in ("mass_sq", "grad_sq", "lp_power", "residual")]
-        if not (np.isfinite(profile).all() and np.isfinite(scalars).all()):
+        if not np.isfinite(profile).all():
             raise ValueError("non-finite values")
-    return GroundState(grid, profile, *scalars)
+    residual = pde_residual(grid, profile)
+    if not residual < tol:
+        raise ValueError(f"residual {residual:.3e} is not below tol {tol!r}")
+    return GroundState(grid, profile, residual)
 
 
 def _make_dir(path: Path) -> None:
@@ -404,10 +406,6 @@ def _save_ground_state(path: Path, gs: GroundState, tol: float) -> None:
                 box=gs.grid.half_width,
                 tol=tol,
                 profile=gs.profile,
-                mass_sq=gs.mass_sq,
-                grad_sq=gs.grad_sq,
-                lp_power=gs.lp_power,
-                residual=gs.residual,
             )
         os.replace(tmp, path)
     except BaseException:
@@ -426,8 +424,10 @@ def ensure_ground_state(
 
     A cached file is used only if it is readable, has the current version,
     was solved for the same (dim, n, box, tol), and holds a finite float64
-    profile of the grid's shape. Otherwise a warning says why, and the
-    profile is solved again and the file overwritten.
+    profile of the grid's shape whose PDE residual is below `tol`. Otherwise
+    a warning says why, and the profile is solved again and the file
+    overwritten. A hit forms the integrals and the residual from the profile,
+    bit for bit those of the solve that wrote it.
     """
     grid = Grid(dim, n, box)
     # Checked before the cache too, so that no file solved for it is read.
@@ -465,6 +465,8 @@ def _global_existence(report, rows, cfg, gs) -> Union[str, Verdict]:
     if not cfg.damping.pointwise_positive:
         return "damping is not pointwise positive"
     masses = rows.column("mass_sq")
+    if masses[0] == 0.0:
+        return "initial mass is zero"
     if math.sqrt(masses[0]) > math.sqrt(gs.mass_sq) * (1.0 + 1e-10):
         return "initial mass above critical"
     bound = PEAK_GRAD_RATIO_BOUND
@@ -610,7 +612,7 @@ def run_scenario(
     if gs is None:
         cache = Path(cfg.outputs) / "gs_cache" if write_outputs else None
         gs = ensure_ground_state(cfg.dim, cfg.n, cfg.box, cfg.gs_tol, cache_dir=cache)
-    if not gs.grid.same_layout(grid):
+    if gs.grid != grid:
         raise ConfigurationError("supplied ground state does not match the scenario grid")
     u0 = build_initial(grid, cfg.initial, gs)
     outer_fraction = _initial_outer_mass_fraction(u0)
@@ -717,16 +719,9 @@ def run_suite(
         overrides["outputs"] = outputs
     out_root = str(overrides.get("outputs", "outputs"))
     configs = apply_suite_overrides(catalog(out_root), overrides)
-    gs_cache: Dict[Tuple[int, int, float, float], GroundState] = {}
-    results: List[ScenarioResult] = []
-    for cfg in configs:
-        key = (cfg.dim, cfg.n, cfg.box, cfg.gs_tol)
-        if key not in gs_cache:
-            gs_cache[key] = ensure_ground_state(
-                cfg.dim, cfg.n, cfg.box, cfg.gs_tol,
-                cache_dir=Path(out_root) / "gs_cache",
-            )
-        results.append(run_scenario(cfg, gs=gs_cache[key]))
+    # The disk cache is the ground state's only memo: of the entries on one
+    # grid, the first solves it and the others read it back.
+    results = [run_scenario(cfg) for cfg in configs]
     _write_suite_summary(Path(out_root) / "summary.csv", results)
     failed = any(r.any_check_failed for r in results)
     return results, (1 if failed else 0)

@@ -127,13 +127,6 @@ class Grid:
         """Rectangle-rule integral of real samples over the box."""
         return float(values.sum() * self.cell_volume)
 
-    def same_layout(self, other: "Grid") -> bool:
-        return (self.dim, self.points_per_axis, self.half_width) == (
-            other.dim,
-            other.points_per_axis,
-            other.half_width,
-        )
-
 
 @dataclass(eq=False)
 class ComplexField:

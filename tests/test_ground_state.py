@@ -8,11 +8,9 @@ import pytest
 from reference import closed_form_q_1d
 
 from nlsdamp import (
-    ComplexField,
     ConvergenceError,
     Grid,
     GroundState,
-    norms,
     pohozaev_residuals,
     solve_ground_state,
 )
@@ -64,9 +62,7 @@ def test_stored_residual_restates(gs_1d):
 def test_pohozaev_rejects_wrong_scale(gs_1d):
     # Doubling the profile scales grad by 4 and the sextic integral by 64,
     # leaving normalized defects of exactly 7.5 and 45 in the limit.
-    doubled = ComplexField(gs_1d.grid, 2.0 * gs_1d.profile)
-    nm = norms(doubled)
-    fake = GroundState(gs_1d.grid, 2.0 * gs_1d.profile, nm.mass_sq, nm.grad_sq, nm.lp_power, 0.0)
+    fake = GroundState(gs_1d.grid, 2.0 * gs_1d.profile, 0.0)
     res = pohozaev_residuals(fake)
     assert res.energy_res == pytest.approx(7.5, rel=1e-6)
     assert res.gradient_res == pytest.approx(45.0, rel=1e-6)

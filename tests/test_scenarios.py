@@ -29,6 +29,7 @@ from nlsdamp import (
     ensure_ground_state,
     norms,
     run_scenario,
+    run_suite,
 )
 from nlsdamp.diagnostics import csv_header
 from nlsdamp.scenarios import (
@@ -273,14 +274,40 @@ def test_ensure_ground_state_cache_roundtrip(tmp_path):
     first = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
     files = list(tmp_path.glob("gs-v*.npz"))
     assert len(files) == 1
-    # Tamper with the cached profile; a cache hit must surface the change.
+    # Tamper with the cached profile by a shift, which still solves the PDE;
+    # a cache hit must surface the change.
     data = dict(np.load(files[0]))
-    data["profile"] = 2.0 * data["profile"]
+    data["profile"] = np.roll(data["profile"], 1)
     np.savez(files[0], **data)
     second = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
-    assert np.allclose(second.profile, 2.0 * first.profile)
+    assert np.array_equal(second.profile, np.roll(first.profile, 1))
     fresh = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=None)
     assert np.allclose(fresh.profile, first.profile)
+
+
+def test_cache_hit_forms_the_numbers_of_the_solve(tmp_path):
+    solved = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
+    assert hit is not solved and np.array_equal(hit.profile, solved.profile)
+    for name in ("mass_sq", "grad_sq", "lp_power", "residual"):
+        assert float.hex(getattr(hit, name)) == float.hex(getattr(solved, name)), name
+
+
+def test_warm_suite_writes_what_the_cold_one_wrote(tmp_path):
+    def files():
+        paths = sorted(p for p in tmp_path.rglob("*") if p.suffix in (".csv", ".json"))
+        return {p.relative_to(tmp_path): p.read_bytes() for p in paths}
+
+    run_suite({"t_end": 0.5}, outputs=str(tmp_path))
+    cold = files()
+    # Every entry of the second run is a cache hit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_suite({"t_end": 0.5}, outputs=str(tmp_path))
+    assert len(cold) == 8 * 4 + 1
+    assert files() == cold
 
 
 def _truncate(path):
@@ -299,6 +326,12 @@ def _other_box(path):
     np.savez(path, **data)
 
 
+def _doubled(path):
+    data = dict(np.load(path))
+    data["profile"] = 2.0 * data["profile"]
+    np.savez(path, **data)
+
+
 def _version_2(path):
     # Cache version 2 held profiles of the unaccelerated solver.
     data = dict(np.load(path))
@@ -308,8 +341,8 @@ def _version_2(path):
 
 @pytest.mark.parametrize("damage, reason",
                          [(_truncate, ""), (_wrong_shape, "profile is"), (_other_box, "solved for"),
-                          (_version_2, r"version 2, expected 3")],
-                         ids=["truncated", "wrong_shape", "other_box", "version_2"])
+                          (_version_2, r"version 2, expected 3"), (_doubled, "residual")],
+                         ids=["truncated", "wrong_shape", "other_box", "version_2", "doubled"])
 def test_ensure_ground_state_rejects_bad_cache(tmp_path, damage, reason):
     first = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
     (path,) = tmp_path.glob("gs-v*.npz")
@@ -356,6 +389,13 @@ def test_check_global_existence_gating(gs_1d):
 
     skip = check_claim("global_existence", _report(), rows, _cfg(DampingSpec("zero")), gs_1d)
     assert skip.status == STATUS_NOT_APPLICABLE
+
+    empty = row_table(t=[0.0, 1.0, 2.0], mass_sq=[0.0] * 3, grad_sq=[0.0] * 3)
+    for damping in (bump, DampingSpec("constant", amplitude=0.5)):
+        zero = check_claim("global_existence", _report(peak_grad_sq=0.0), empty,
+                           _cfg(damping), gs_1d)
+        assert zero.status == STATUS_NOT_APPLICABLE
+        assert zero.notes == "initial mass is zero"
 
     heavy = row_table(mass_sq=[1.02 * gs_1d.mass_sq], grad_sq=[1.0])
     above = check_claim("global_existence", _report(), heavy, cfg, gs_1d)

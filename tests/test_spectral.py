@@ -92,8 +92,8 @@ def test_same_layout():
     a = Grid(1, 64, 10.0)
     b = Grid(1, 64, 10.0)
     c = Grid(1, 128, 10.0)
-    assert a.same_layout(b)
-    assert not a.same_layout(c)
+    assert a == b and hash(a) == hash(b)
+    assert a != c
 
 
 def test_complex_field_validation():
