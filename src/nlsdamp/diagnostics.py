@@ -12,7 +12,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .evolution import EvolutionState
-from .spectral import ComplexField, DampingProfile, Grid, critical_power, norms
+from .spectral import ComplexField, DampingProfile, Grid, abs2, critical_power, grid_dot, norms
 
 __all__ = [
     "WindowRule",
@@ -39,8 +39,8 @@ __all__ = [
 WindowRule = Callable[[float], float]
 
 
-def gradient_window_rule(ref_grad_sq: float, w0: float = 1.0) -> WindowRule:
-    """Window rule w = w0 (‖∇Q‖/‖∇u‖)^(1/2).
+def gradient_window_rule(ref_grad_sq: float) -> WindowRule:
+    """Window rule w = (‖∇Q‖/‖∇u‖)^(1/2).
 
     The window shrinks as the solution focuses while w·‖∇u‖ still diverges,
     which is the regime the concentration claim addresses. `ref_grad_sq` is
@@ -52,7 +52,7 @@ def gradient_window_rule(ref_grad_sq: float, w0: float = 1.0) -> WindowRule:
     def rule(grad_sq: float) -> float:
         if grad_sq <= 0.0:
             return math.inf
-        return w0 * (ref_grad_sq / grad_sq) ** 0.25
+        return (ref_grad_sq / grad_sq) ** 0.25
 
     return rule
 
@@ -110,27 +110,6 @@ def _sum(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1).sum(axis=1)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Σ x·y over the grid, one sum per snapshot: x is a block (k, *shape),
-    or one snapshot, the block of one; y is one grid array.
-
-    The sums are one matrix-vector product. A y that holds one value with
-    stride 0 on every axis, as a vanishing damping gradient does, gives
-    y·Σx instead, so no full copy of it is made.
-    """
-    rows = x.reshape(-1, y.size)
-    if not any(y.strides):
-        return float(y.flat[0]) * rows.sum(axis=1)
-    return rows @ y.ravel()
-
-
-def _abs2(v: np.ndarray) -> np.ndarray:
-    """|v|² = Re(v)² + Im(v)², built in one new array."""
-    x = v.real**2
-    x += v.imag**2
-    return x
-
-
 def _ifft_block(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Inverse FFT over the grid axes of each snapshot of the block x, into out.
 
@@ -160,22 +139,20 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> 
     d = g.dim
     vol = g.cell_volume
     vals, u_hat = block.values, block.spectra
-    abs2 = _abs2(vals)
-    mass_sq = _sum(abs2) * vol
-    int_a_u2 = _dot(abs2, a.values) * vol
-    spec2 = _abs2(u_hat)
-    grad_sq = _dot(spec2, g.k2) * vol / g.size
-    del spec2
+    u2 = abs2(vals)
+    mass_sq = _sum(u2) * vol
+    int_a_u2 = grid_dot(u2, a.values) * vol
+    grad_sq = grid_dot(abs2(u_hat), g.k2) * vol / g.size
     # |u|^(4/d+2) = |u|^(4/d)·|u|².
-    absp = critical_power(abs2.copy(), d)
-    absp *= abs2
+    absp = critical_power(u2.copy(), d)
+    absp *= u2
     lp_power = _sum(absp) * vol
-    int_a_lp = _dot(absp, a.values) * vol
+    int_a_lp = grid_dot(absp, a.values) * vol
     del absp
     energy = 0.5 * grad_sq - d / (4.0 + 2.0 * d) * lp_power
     # The windows read |u|², which is released before the per-axis arrays.
-    conc, window_radius = _windows(g, abs2, mass_sq, grad_sq, w_rule)
-    del abs2
+    conc, window_radius = _windows(g, u2, mass_sq, grad_sq, w_rule)
+    del u2
     momentum, int_a_im_grad = [], []
     a_grad2 = re_grad_a = 0.0
     # One axis at a time, in one array for all axes: ∂_j u, transformed in
@@ -186,13 +163,13 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> 
         np.multiply(k, u_hat, out=flux)
         flux *= 1j
         _ifft_block(flux, flux)  # ∂_j u
-        a_grad2 += _dot(_abs2(flux), a.values)
+        a_grad2 += grid_dot(abs2(flux), a.values)
         np.conjugate(flux, out=flux)
         flux *= vals
         # 0.0 - x, not -x: a zero integral is +0.0, the sign (∂_j u)ū gives.
         momentum.append(0.0 - _sum(flux.imag) * vol)
-        int_a_im_grad.append(0.0 - _dot(flux.imag, a.values) * vol)
-        re_grad_a += _dot(flux.real, ga)
+        int_a_im_grad.append(0.0 - grid_dot(flux.imag, a.values) * vol)
+        re_grad_a += grid_dot(flux.real, ga)
     del flux
     int_a_grad2 = a_grad2 * vol
     re_grad_a_term = re_grad_a * vol

@@ -16,7 +16,9 @@ from .spectral import (
     DampingProfile,
     Grid,
     _require_finite,
+    abs2,
     critical_power,
+    grid_dot,
 )
 
 __all__ = [
@@ -38,7 +40,6 @@ KICK_BLOCK = 16384
 class StopReason(enum.Enum):
     HORIZON_REACHED = "horizon_reached"
     GRADIENT_THRESHOLD = "gradient_threshold"
-    DT_FLOOR = "dt_floor"
     TAIL_UNRESOLVED = "tail_unresolved"
     NONFINITE = "nonfinite"
 
@@ -48,10 +49,11 @@ class SimConfig:
     """Step-size rule and guard settings for one evolution.
 
     The accepted step is dt = max(dt_min, min(dt0, adapt_const/‖∇u‖²)).
-    A stop with the spectral tail unresolved (or the dt floor engaged) is
-    classified as detected blow-up when ‖∇u‖² has grown by at least
-    `blowup_grad_ratio` over its initial value; t_detect is then the last
-    resolved time, never an extrapolated singularity time.
+    A tail stop is detected blow-up when ‖∇u‖² has grown by at least
+    `blowup_grad_ratio` over its initial value; the dt-floor stop
+    (`gradient_threshold`) needs a GRAD_RATIO_THRESHOLD (10⁶) growth and is
+    always blow-up. t_detect is the last resolved time, never an
+    extrapolated singularity time.
     """
 
     dt0: float = 1e-3
@@ -126,7 +128,7 @@ class _StrangKernel:
     step.
     """
 
-    def __init__(self, grid: Grid, a: Optional[DampingProfile] = None):
+    def __init__(self, grid: Grid, a: DampingProfile):
         self.grid = grid
         self.sigma = 4.0 / grid.dim
         self.k2_axis = grid.wavenumbers**2
@@ -138,16 +140,15 @@ class _StrangKernel:
         self.ifft = np.fft.ifft if grid.dim == 1 else np.fft.ifftn
         self._phases: Dict[float, np.ndarray] = {}
         self._kick_dt: Optional[float] = None
-        if a is not None:
-            # a(x) = a_values[a_index], raveled; the profile keeps the table,
-            # so kernels built on one profile share it.
-            self._a_values, self._a_index = a.distinct_values
-            self._amp = np.empty(grid.size)
-            self._half_coef = np.empty(grid.size)
-            block = min(KICK_BLOCK, grid.size)
-            self._theta = np.empty(block)
-            self._t2 = np.empty(block)
-            self._rot = np.empty(block, dtype=np.complex128)
+        # a(x) = a_values[a_index], raveled; the profile keeps the table,
+        # so kernels built on one profile share it.
+        self._a_values, self._a_index = a.distinct_values
+        self._amp = np.empty(grid.size)
+        self._half_coef = np.empty(grid.size)
+        block = min(KICK_BLOCK, grid.size)
+        self._theta = np.empty(block)
+        self._t2 = np.empty(block)
+        self._rot = np.empty(block, dtype=np.complex128)
 
     def phase(self, u_hat: np.ndarray, h: float) -> None:
         """In place: û <- exp(-i|k|² h) û, the free flow over h."""
@@ -202,7 +203,7 @@ class _StrangKernel:
             np.multiply(ub.imag, ub.imag, out=t2)
             theta += t2
             if edge_w is not None:
-                edge += float(np.dot(theta, edge_w[lo:hi]))
+                edge += float(grid_dot(theta, edge_w[lo:hi]))
             critical_power(theta, self.grid.dim)
             theta *= half_coef[lo:hi]
             t = np.tan(theta, out=theta)
@@ -234,21 +235,18 @@ class _StrangKernel:
         return self.fft(u, out=u), edge
 
 
-def _spectral_norms(
-    u_hat: np.ndarray, grid: Grid, tail_w: Optional[np.ndarray] = None
-) -> Tuple[float, float, float]:
+def _spectral_norms(u_hat: np.ndarray, grid: Grid, weights: np.ndarray) -> Tuple[float, float, float]:
     """Σ|û|², ‖∇u‖² and the tail fraction, read from û.
 
-    A phase on û drops out, so a spectrum that still owes a half phase gives
-    the norms of the field it stands for.
+    `weights` stacks k2 and the tail weight, as `evolve` builds it, so both
+    weighted sums are one `grid_dot`. A phase on û drops out, so a spectrum
+    that still owes a half phase gives the norms of the field it stands for.
     """
-    spec2 = (u_hat.real**2 + u_hat.imag**2).ravel()
+    spec2 = abs2(u_hat)
     total = float(spec2.sum())
-    grad_sq = float(np.dot(spec2, grid.k2.ravel())) * grid.cell_volume / grid.size
-    tail = 0.0
-    if tail_w is not None and total > 0.0:
-        tail = float(np.dot(spec2, tail_w)) / total
-    return total, grad_sq, tail
+    k2_sum, tail_sum = grid_dot(weights, spec2).tolist()
+    tail = tail_sum / total if total > 0.0 else 0.0
+    return total, k2_sum * grid.cell_volume / grid.size, tail
 
 
 def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:
@@ -299,9 +297,10 @@ def evolve(
     if a.grid != grid:
         raise ConfigurationError("damping profile and initial data live on different grids")
     kernel = _StrangKernel(grid, a)
-    # Outer third of wavenumbers, per axis: max_j |k_j| beyond 2/3 of Nyquist.
+    # |k|² and the tail weight, the outer third of wavenumbers per axis
+    # (max_j |k_j| beyond 2/3 of Nyquist), stacked for one grid_dot a step.
     k_max = float(np.max(np.abs(grid.wavenumbers)))
-    tail_w = (_chebyshev(grid, grid.wavenumbers) > (2.0 / 3.0) * k_max).ravel().astype(np.float64)
+    weights = np.stack([grid.k2, _chebyshev(grid, grid.wavenumbers) > (2.0 / 3.0) * k_max])
     edge_w = (_chebyshev(grid, grid.axis) >= 0.9 * grid.half_width).ravel().astype(np.float64)
     mass_per_total = grid.cell_volume / grid.size
 
@@ -328,7 +327,7 @@ def evolve(
         emitted_step = steps
 
     while True:
-        total, grad_sq, tail = _spectral_norms(u_hat, grid, tail_w)
+        total, grad_sq, tail = _spectral_norms(u_hat, grid, weights)
         # A non-finite value anywhere in u reaches every entry of û.
         if not math.isfinite(total):
             stop = StopReason.NONFINITE

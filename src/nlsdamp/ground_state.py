@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .spectral import ComplexField, ConfigurationError, Grid, critical_power, norms
+from .spectral import ComplexField, ConfigurationError, Grid, abs2, critical_power, grid_dot, norms
 
 __all__ = [
     "ConvergenceError",
@@ -89,7 +89,7 @@ def _spectra(q: np.ndarray, dim: int):
 def _residual(grid: Grid, helmholtz, weight, q_hat, nonlin_hat) -> float:
     """L² norm of ΔQ - Q + |Q|^σ Q from the half spectra of Q and |Q|^σ Q."""
     r = nonlin_hat - helmholtz * q_hat
-    r2 = weight * (r.real**2 + r.imag**2)
+    r2 = weight * abs2(r)
     return float(np.sqrt(r2.sum() * grid.cell_volume / grid.size))
 
 
@@ -103,16 +103,16 @@ def pde_residual(grid: Grid, profile: np.ndarray) -> float:
 def _anderson_coefficients(f: np.ndarray, f_hist: List[np.ndarray]) -> Optional[List[float]]:
     """Weights c minimizing ‖f - Σ c_j (f - f_hist[j])‖ over one or two earlier steps.
 
-    The Gram entries of the differences come from dot products of the raveled
-    steps, and the system is solved by hand, so no LAPACK code is loaded.
+    The Gram entries of the differences come from grid sums of products of
+    the steps, and the system is solved by hand, so no LAPACK code is loaded.
     None means no history or a singular system.
     """
     if not f_hist:
         return None
-    rows = [f.reshape(-1)] + [h.reshape(-1) for h in f_hist]
+    rows = [f] + f_hist
 
     def dot(i: int, j: int) -> float:
-        return float(np.dot(rows[i], rows[j]))
+        return float(grid_dot(rows[i], rows[j]))
 
     # b_i = <f, f - f_i>; the Gram entry <f - f_i, f - f_j> is b_i - <f, f_j> + <f_i, f_j>.
     ff = dot(0, 0)
@@ -196,7 +196,7 @@ def solve_ground_state(
                 "iteration collapsed to the zero field; retry with a larger initial amplitude",
                 residual=last_residual,
             )
-        quad = weight * helmholtz * (q_hat.real**2 + q_hat.imag**2)
+        quad = weight * helmholtz * abs2(q_hat)
         s = quad.sum() * vol / grid.size / coupling
         g = float(s) ** gamma * np.fft.irfftn(inv_helmholtz * nonlin_hat, s=grid.shape, axes=axes)
         f = g - q

@@ -24,7 +24,7 @@ from .diagnostics import (
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
 from .ground_state import GroundState, pde_residual, solve_ground_state
 from .reporting import dump_json, format_float
-from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite, _zero_view
+from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite, _zero_view, abs2
 
 __all__ = [
     "InitialSpec",
@@ -58,7 +58,7 @@ PEAK_GRAD_RATIO_BOUND = 100.0
 # Detection-time mass must retain this fraction of the critical norm.
 MASS_CONSISTENCY_FRACTION = 0.95
 
-GS_CACHE_VERSION = 3
+GS_CACHE_VERSION = 4
 
 # A scenario id names its output directory under the outputs root, so it may
 # hold no path separator and may not start with a dot.
@@ -588,11 +588,11 @@ def check_claim(
 
 def _initial_outer_mass_fraction(u0: ComplexField) -> float:
     g = u0.grid
-    abs2 = u0.values.real**2 + u0.values.imag**2
-    total = float(abs2.sum())
+    u2 = abs2(u0.values)
+    total = float(u2.sum())
     if total == 0.0:
         return 0.0
-    outer = abs2[sum(c * c for c in g.coords) > (0.5 * g.half_width) ** 2]
+    outer = u2[sum(c * c for c in g.coords) > (0.5 * g.half_width) ** 2]
     return float(outer.sum()) / total
 
 

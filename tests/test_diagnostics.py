@@ -44,10 +44,10 @@ from nlsdamp import (
 )
 from nlsdamp.cli import main
 from nlsdamp.diagnostics import (
-    _dot,
     csv_header,
     random_smooth_field,
 )
+from nlsdamp.spectral import grid_dot
 
 TOL = {
     "fd_energy": 1e-4,
@@ -307,7 +307,7 @@ def test_momentum_law_bites_and_reads_from_rows(tmp_path, capsys):
     g = gs.grid
     for (_, values), column in zip(snapshots, ap):
         grad = np.fft.ifftn(1j * g.k_mesh[0] * np.fft.fftn(values))
-        expected = g.integrate(a.values * (grad * values.conj()).imag)
+        expected = (a.values * (grad * values.conj()).imag).sum() * g.cell_volume
         assert abs(column - expected) <= TOL["momentum_column_vs_fields"] * scale
 
 
@@ -371,12 +371,23 @@ def test_zero_damping_holds_no_gradient_arrays():
         assert not grad.flags.writeable
 
 
-def test_dot_reads_a_zero_gradient_without_copying_it():
+def test_grid_dot_reads_a_zero_gradient_without_copying_it():
     g = Grid(3, 32, 10.0)
-    x = np.random.default_rng(3).standard_normal(g.shape)
+    x = np.random.default_rng(3).standard_normal((2, *g.shape))
     zero = DampingProfile.zero(g).gradient_values[0]
-    assert _dot(x, zero) == 0.0
-    assert traced_peak(lambda: _dot(x, zero)) < 0.1 * x.nbytes
+    assert grid_dot(x, zero).tolist() == [0.0, 0.0]
+    assert traced_peak(lambda: grid_dot(x, zero)) < 0.1 * x[0].nbytes
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 64), (3, 16)])
+def test_norms_are_the_row_integrals(dim, n):
+    # norms and a diagnostics row form the three integrals the same way.
+    g = Grid(dim, n, 10.0)
+    u = random_smooth_field(g, np.random.default_rng(dim))
+    nm = norms(u)
+    row = diagnostics_row(u, DampingProfile.zero(g), lambda _: 1.0)
+    for name in ("mass_sq", "grad_sq", "lp_power"):
+        assert getattr(nm, name).hex() == row[name].hex(), name
 
 
 def test_zero_damping_row_peak_at_64_cubed():

@@ -69,7 +69,7 @@ def test_phase_free_dispersion():
     # exp(-x^2/2) spreads so that |u(1/2, 0)|^2 = 2^(-1/2) under the free flow.
     g = Grid(1, 256, 20.0)
     u_hat = np.fft.fft(_gaussian_field(g).values)
-    _StrangKernel(g).phase(u_hat, 0.5)
+    _StrangKernel(g, DampingProfile.zero(g)).phase(u_hat, 0.5)
     out = ComplexField(g, np.fft.ifft(u_hat))
     center = g.points_per_axis // 2
     assert g.axis[center] == 0.0
@@ -178,14 +178,15 @@ def test_dt_from_grad_arithmetic():
     grad_sq = norms(mode).grad_sq
     assert grad_sq == pytest.approx(k0 * k0 * 2.0 * g.half_width, rel=1e-12)
     # The step rule reads ‖∇u‖² from the spectrum, as evolve does.
-    spectral_grad_sq = _spectral_norms(np.fft.fft(mode.values), g)[1]
+    weights = np.stack([g.k2, np.zeros(g.shape)])
+    spectral_grad_sq = _spectral_norms(np.fft.fft(mode.values), g, weights)[1]
     mid = SimConfig(dt0=0.1, t_end=1.0, adapt_const=0.01 * grad_sq, dt_min=1e-9)
     assert _dt_from_grad(spectral_grad_sq, mid) == pytest.approx(0.01, rel=TOL["dt_from_grad"])
     high = SimConfig(dt0=0.1, t_end=1.0, adapt_const=10.0 * grad_sq, dt_min=1e-9)
     assert _dt_from_grad(spectral_grad_sq, high) == 0.1
     low = SimConfig(dt0=0.1, t_end=1.0, adapt_const=1e-10 * grad_sq, dt_min=1e-9)
     assert _dt_from_grad(spectral_grad_sq, low) == 1e-9
-    zero_grad_sq = _spectral_norms(np.zeros(g.shape, dtype=np.complex128), g)[1]
+    zero_grad_sq = _spectral_norms(np.zeros(g.shape, dtype=np.complex128), g, weights)[1]
     assert _dt_from_grad(zero_grad_sq, mid) == mid.dt0
 
 
@@ -361,9 +362,9 @@ def test_evolve_masks_match_full_grid_reference(monkeypatch, dim, n):
     # built from the full-grid meshes.
     seen = {}
 
-    def norms_spy(u_hat, grid, tail_w, _fn=_spectral_norms):
-        seen["tail"] = tail_w
-        return _fn(u_hat, grid, tail_w)
+    def norms_spy(u_hat, grid, weights, _fn=_spectral_norms):
+        seen["k2"], seen["tail"] = weights
+        return _fn(u_hat, grid, weights)
 
     def advance_spy(self, u_hat, h, dt, edge_w=None, _fn=_StrangKernel.advance):
         seen["edge"] = edge_w
@@ -373,7 +374,9 @@ def test_evolve_masks_match_full_grid_reference(monkeypatch, dim, n):
     monkeypatch.setattr(_StrangKernel, "advance", advance_spy)
     g = Grid(dim, n, 10.0)
     evolve(_gaussian_field(g), DampingProfile.zero(g), SimConfig(dt0=1e-3, t_end=1e-3))
-    assert np.array_equal(seen["tail"], tail_mask(g).ravel().astype(np.float64))
+    assert seen["tail"].dtype == np.float64
+    assert np.array_equal(seen["k2"], g.k2)
+    assert np.array_equal(seen["tail"], tail_mask(g).astype(np.float64))
     assert np.array_equal(seen["edge"], boundary_mask(g).ravel().astype(np.float64))
 
 

@@ -332,17 +332,22 @@ def _doubled(path):
     np.savez(path, **data)
 
 
-def _version_2(path):
-    # Cache version 2 held profiles of the unaccelerated solver.
-    data = dict(np.load(path))
-    data["version"] = np.int64(2)
-    np.savez(path, **data)
+def _version(old):
+    def damage(path):
+        data = dict(np.load(path))
+        data["version"] = np.int64(old)
+        np.savez(path, **data)
+    return damage
 
 
+# Cache version 2 held profiles of the unaccelerated solver, and version 3
+# profiles whose Anderson Gram entries were BLAS sums.
 @pytest.mark.parametrize("damage, reason",
                          [(_truncate, ""), (_wrong_shape, "profile is"), (_other_box, "solved for"),
-                          (_version_2, r"version 2, expected 3"), (_doubled, "residual")],
-                         ids=["truncated", "wrong_shape", "other_box", "version_2", "doubled"])
+                          (_version(2), r"version 2, expected 4"),
+                          (_version(3), r"version 3, expected 4"), (_doubled, "residual")],
+                         ids=["truncated", "wrong_shape", "other_box", "version_2", "version_3",
+                              "doubled"])
 def test_ensure_ground_state_rejects_bad_cache(tmp_path, damage, reason):
     first = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
     (path,) = tmp_path.glob("gs-v*.npz")

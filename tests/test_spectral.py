@@ -128,8 +128,9 @@ def test_multiplier_derivative_of_gaussian():
 
 def test_rectangle_rule_exact_for_trig():
     g = Grid(1, 32, 5.0)
-    vals = np.cos(math.pi * g.axis / g.half_width) ** 2
-    assert abs(g.integrate(vals) - g.half_width) < TOL["quadrature"] * g.half_width
+    # |cos|² integrates to L, exactly for the rectangle rule.
+    mass_sq = norms(ComplexField(g, np.cos(math.pi * g.axis / g.half_width))).mass_sq
+    assert abs(mass_sq - g.half_width) < TOL["quadrature"] * g.half_width
 
 
 def test_norms_gaussian_closed_forms():
