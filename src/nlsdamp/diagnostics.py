@@ -7,7 +7,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -15,8 +15,6 @@ from .evolution import EvolutionState
 from .spectral import ComplexField, DampingProfile, Grid, abs2, critical_power, grid_dot, norms
 
 __all__ = [
-    "WindowRule",
-    "gradient_window_rule",
     "block_size",
     "SnapshotBlock",
     "compute_row",
@@ -35,27 +33,6 @@ __all__ = [
     "sharp_gn_constant",
     "random_smooth_field",
 ]
-
-WindowRule = Callable[[float], float]
-
-
-def gradient_window_rule(ref_grad_sq: float) -> WindowRule:
-    """Window rule w = (‖∇Q‖/‖∇u‖)^(1/2).
-
-    The window shrinks as the solution focuses while w·‖∇u‖ still diverges,
-    which is the regime the concentration claim addresses. `ref_grad_sq` is
-    the reference gradient integral ‖∇Q‖².
-    """
-    if not ref_grad_sq > 0:
-        raise ValueError("reference gradient integral must be positive")
-
-    def rule(grad_sq: float) -> float:
-        if grad_sq <= 0.0:
-            return math.inf
-        return (ref_grad_sq / grad_sq) ** 0.25
-
-    return rule
-
 
 # The rows.csv columns of one snapshot, in order: (name, one value per axis).
 # A per-axis column `p` gives the columns `p_1` … `p_d`.
@@ -113,20 +90,23 @@ def _sum(x: np.ndarray) -> np.ndarray:
 def _ifft_block(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Inverse FFT over the grid axes of each snapshot of the block x, into out.
 
-    Bit for bit one transform per snapshot; 1-D takes `ifft`, which costs
-    less per call than `ifftn`.
+    Bit for bit one transform per snapshot.
     """
-    if x.ndim == 2:
-        return np.fft.ifft(x, axis=1, out=out)
     return np.fft.ifftn(x, axes=tuple(range(1, x.ndim)), out=out)
 
 
-def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> np.ndarray:
+def _check_reference(ref_grad_sq: float) -> None:
+    if not ref_grad_sq > 0:
+        raise ValueError("reference gradient integral must be positive")
+
+
+def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> np.ndarray:
     """Evaluate every diagnostic at each snapshot of a block of k.
 
     Returns the rows as a (k, width) float64 array in rows.csv column order
     (a transposed view of the column table). Every sum runs over the grid
-    axes of the whole block at once.
+    axes of the whole block at once. `ref_grad_sq` is the reference gradient
+    integral ‖∇Q‖² that sets the window radius (see `_windows`).
 
     Energy is E = (1/2)∫|∇u|² - d/(4+2d) ∫|u|^(4/d+2); momentum components
     are P_j = Im ∫ (∂_j u) ū; the dissipation functional is
@@ -135,6 +115,7 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> 
     so that the mass, energy and momentum balance residuals are formed from
     rows alone, without re-simulation.
     """
+    _check_reference(ref_grad_sq)
     g = block.grid
     d = g.dim
     vol = g.cell_volume
@@ -151,7 +132,7 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> 
     del absp
     energy = 0.5 * grad_sq - d / (4.0 + 2.0 * d) * lp_power
     # The windows read |u|², which is released before the per-axis arrays.
-    conc, window_radius = _windows(g, u2, mass_sq, grad_sq, w_rule)
+    conc, window_radius = _windows(g, u2, mass_sq, grad_sq, ref_grad_sq)
     del u2
     momentum, int_a_im_grad = [], []
     a_grad2 = re_grad_a = 0.0
@@ -198,19 +179,24 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, w_rule: WindowRule) -> 
 
 
 def _windows(
-    g: Grid, abs2: np.ndarray, mass_sq: np.ndarray, grad_sq: np.ndarray, w_rule: WindowRule
+    g: Grid, abs2: np.ndarray, mass_sq: np.ndarray, grad_sq: np.ndarray, ref_grad_sq: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Windowed mass and window radius of each snapshot of the block.
 
-    The radius is the rule's, kept inside the fundamental cell (the rule may
-    blow up when the field has no gradient content). A zero-mass snapshot
-    gets radius 0; one whose radius is not positive gets no window, mass 0,
-    and its radius raised to 0 (a NaN radius stays NaN). The masses are one
-    concentration_mass call on the block, or on its rows that have a window.
+    The radius is w = (‖∇Q‖/‖∇u‖)^(1/2), for ‖∇Q‖² = `ref_grad_sq`: the
+    window shrinks as the solution focuses while w·‖∇u‖ still diverges,
+    which is the regime the concentration claim addresses. It is kept inside
+    the fundamental cell (w is infinite when the field has no gradient
+    content). A zero-mass snapshot gets radius 0; one whose radius is not
+    positive gets no window, mass 0, and its radius raised to 0 (a NaN
+    radius stays NaN). The masses are one concentration_mass call on the
+    block, or on its rows that have a window.
     """
     radius = np.zeros_like(mass_sq)
     live = mass_sq != 0.0
-    radius[live] = [w_rule(x) for x in grad_sq[live].tolist()]
+    radius[live] = [
+        math.inf if x <= 0.0 else (ref_grad_sq / x) ** 0.25 for x in grad_sq[live].tolist()
+    ]
     np.minimum(radius, 0.99 * g.half_width, out=radius)
     conc = np.zeros_like(mass_sq)
     inside = radius > 0.0
@@ -232,12 +218,14 @@ class TrajectoryRecorder:
     the partial block left. A block of one is computed at once from the lent
     spectrum, without a copy, and its field from one inverse FFT. Only the
     rows are kept, in `rows`, a RowTable of float64 columns: memory grows by
-    one row of 8-byte values per snapshot.
+    one row of 8-byte values per snapshot. `ref_grad_sq` is ‖∇Q‖², which
+    sets the window radius of every row.
     """
 
-    def __init__(self, a: DampingProfile, w_rule: WindowRule):
+    def __init__(self, a: DampingProfile, ref_grad_sq: float):
+        _check_reference(ref_grad_sq)
         self.a = a
-        self.w_rule = w_rule
+        self.ref_grad_sq = ref_grad_sq
         g = a.grid
         self._rows = RowTable(g.dim)
         size = block_size(g)
@@ -257,7 +245,7 @@ class TrajectoryRecorder:
             # One new array: without out=, ifftn allocates one per axis.
             values = _ifft_block(u_hat, np.empty_like(u_hat))
             one = SnapshotBlock(self.a.grid, meta, values, u_hat)
-            self._rows.append_block(compute_row(one, self.a, self.w_rule))
+            self._rows.append_block(compute_row(one, self.a, self.ref_grad_sq))
             return
         i = self._fill
         block.meta[i] = state.time, dt_used, tail_fraction
@@ -273,7 +261,7 @@ class TrajectoryRecorder:
         if k < len(block.meta):
             block = SnapshotBlock(block.grid, block.meta[:k], block.values[:k], block.spectra[:k])
         _ifft_block(block.spectra, block.values)
-        self._rows.append_block(compute_row(block, self.a, self.w_rule))
+        self._rows.append_block(compute_row(block, self.a, self.ref_grad_sq))
         self._fill = 0
 
     @property
@@ -498,46 +486,24 @@ def concentration_mass(g: Grid, abs2: np.ndarray, w: np.ndarray) -> np.ndarray:
     `abs2` is the (k, *g.shape) block of |u|² of k snapshots on `g`, and `w`
     holds one radius per snapshot; returns the k masses.
     Evaluated for every center at once: the ball is the set of grid offsets
-    whose coordinate r² is at most w² (periodic distance). In 1-D that set
-    is one run of offsets, summed by one periodic prefix sum per block; for
-    d ≥ 2 |u|² is convolved with the ball indicator by real FFT, batched
-    over the block. The spectrum of the last ball is kept, keyed by the
-    grid's layout and the largest grid r² at most w², so windows whose balls
-    hold the same grid points reuse it.
+    whose coordinate r² is at most w² (periodic distance), and |u|² is
+    convolved with its indicator by real FFT, batched over the block. The
+    spectrum of the last ball is kept, keyed by the grid's layout and the
+    largest grid r² at most w², so windows whose balls hold the same grid
+    points reuse it.
     """
     bad = ~((0.0 < w) & (w < g.half_width))
     if bad.any():
         raise ValueError(f"window radius must lie in (0, {g.half_width}), got {w[bad][0]}")
-    k, n = abs2.shape[0], g.points_per_axis
-    if g.dim == 1:
-        # Offsets lo..hi from the center index n/2, where x² has its minimum
-        # 0 and grows to either side; windowed[i] sums |u|² over
-        # i - hi .. i - lo (mod n), which is C(i - lo + 1) - C(i - hi) for
-        # the prefix sum C(e) = Σ_{0 <= j < e} |u_j|², extended periodically
-        # by C(e ± n) = C(e) ± the mass. Column m of `sums` holds C(m - n/2).
-        h = n // 2
-        sq = g.axis**2
-        hi = np.searchsorted(sq[h:], w * w, side="right") - 1
-        lo = 1 - np.searchsorted(sq[h::-1], w * w, side="right")
-        sums = np.empty((k, 2 * n + 1))
-        sums[:, h] = 0.0
-        np.cumsum(abs2, axis=1, out=sums[:, h + 1 : h + n + 1])
-        mass = sums[:, h + n : h + n + 1]
-        np.subtract(sums[:, n : n + h], mass, out=sums[:, :h])
-        np.add(sums[:, h + 1 : n + 1], mass, out=sums[:, h + n + 1 :])
-        windowed = np.empty((k, n))
-        for r, (end, start) in enumerate(zip((h + 1 - lo).tolist(), (h - hi).tolist())):
-            np.subtract(sums[r, end : end + n], sums[r, start : start + n], out=windowed[r])
-    else:
-        # r² = 0 at the center, so the ball is never empty.
-        layout = (g.dim, n, g.half_width)
-        radii = _sorted_r2(*layout)
-        r2_max = radii[np.searchsorted(radii, w * w, side="right") - 1]
-        axes = tuple(range(1, g.dim + 1))
-        spectrum = np.fft.rfftn(abs2, axes=axes)
-        for s, r2 in zip(spectrum, r2_max.tolist()):
-            s *= _ball_spectrum(*layout, r2)
-        windowed = np.fft.irfftn(spectrum, s=g.shape, axes=axes).reshape(k, -1)
+    # r² = 0 at the center, so the ball is never empty.
+    layout = (g.dim, g.points_per_axis, g.half_width)
+    radii = _sorted_r2(*layout)
+    r2_max = radii[np.searchsorted(radii, w * w, side="right") - 1]
+    axes = tuple(range(1, g.dim + 1))
+    spectrum = np.fft.rfftn(abs2, axes=axes)
+    for s, r2 in zip(spectrum, r2_max.tolist()):
+        s *= _ball_spectrum(*layout, r2)
+    windowed = np.fft.irfftn(spectrum, s=g.shape, axes=axes).reshape(len(abs2), -1)
     return windowed.max(axis=1) * g.cell_volume
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "evolve",
 ]
 
-# ‖∇u‖²/‖∇u₀‖² growth at which a dt-floor stop is reported as blow-up outright.
-GRAD_RATIO_THRESHOLD = 1e6
 # Fraction of mass in the outer 10% annulus of the box that flags a run.
 BOUNDARY_MASS_LIMIT = 1e-6
 # Points of the raveled field the kick rotates at a time (256 KiB of complex values).
@@ -48,12 +46,11 @@ class StopReason(enum.Enum):
 class SimConfig:
     """Step-size rule and guard settings for one evolution.
 
-    The accepted step is dt = max(dt_min, min(dt0, adapt_const/‖∇u‖²)).
-    A tail stop is detected blow-up when ‖∇u‖² has grown by at least
-    `blowup_grad_ratio` over its initial value; the dt-floor stop
-    (`gradient_threshold`) needs a GRAD_RATIO_THRESHOLD (10⁶) growth and is
-    always blow-up. t_detect is the last resolved time, never an
-    extrapolated singularity time.
+    The step rule is dt = min(dt0, adapt_const/‖∇u‖²); a run stops
+    (`gradient_threshold`) when it falls below dt_min. A tail or dt-floor
+    stop is detected blow-up when ‖∇u‖² has grown by at least
+    `blowup_grad_ratio` over its initial value. t_detect is the last
+    resolved time, never an extrapolated singularity time.
     """
 
     dt0: float = 1e-3
@@ -252,7 +249,7 @@ def _spectral_norms(u_hat: np.ndarray, grid: Grid, weights: np.ndarray) -> Tuple
 def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:
     if grad_sq <= 0.0:
         return cfg.dt0
-    return max(cfg.dt_min, min(cfg.dt0, cfg.adapt_const / grad_sq))
+    return min(cfg.dt0, cfg.adapt_const / grad_sq)
 
 
 def _chebyshev(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -271,11 +268,11 @@ def evolve(
 
     Stop conditions, in priority order: non-finite state values; spectral
     tail fraction (mass in the outer third of wavenumbers over total) above
-    cfg.tail_threshold; dt floor engaged while ‖∇u‖² has grown a
-    million-fold; t >= t_end. The sink, when given, receives a snapshot
-    (state, dt_used, tail_fraction) at t = 0, every cfg.record_every
-    accepted steps, and at the stop. The snapshot is the stepped û, with its
-    owed half phase applied, lent for the call (see EvolutionState).
+    cfg.tail_threshold; the step rule's dt below cfg.dt_min; t >= t_end.
+    The sink, when given, receives a snapshot (state, dt_used,
+    tail_fraction) at t = 0, every cfg.record_every accepted steps, and at
+    the stop. The snapshot is the stepped û, with its owed half phase
+    applied, lent for the call (see EvolutionState).
 
     The state carried from step to step is the spectrum û, and adjacent
     half phases are merged, so a step costs one inverse and one forward FFT.
@@ -316,7 +313,6 @@ def evolve(
     peak_grad = 0.0
     boundary_flag = False
     emitted_step = -1
-    blew = False
 
     def emit(tail: float) -> None:
         nonlocal emitted_step, owed
@@ -342,12 +338,10 @@ def evolve(
             emit(tail)
         if tail > cfg.tail_threshold:
             stop = StopReason.TAIL_UNRESOLVED
-            blew = grad0 > 0.0 and grad_sq >= cfg.blowup_grad_ratio * grad0
             break
         dt = _dt_from_grad(grad_sq, cfg)
-        if dt <= cfg.dt_min and grad0 > 0.0 and grad_sq > GRAD_RATIO_THRESHOLD * grad0:
+        if dt < cfg.dt_min:
             stop = StopReason.GRADIENT_THRESHOLD
-            blew = True
             break
         if t >= cfg.t_end * (1.0 - 1e-12):
             stop = StopReason.HORIZON_REACHED
@@ -364,6 +358,11 @@ def evolve(
 
     if stop is not StopReason.NONFINITE and steps != emitted_step:
         emit(tail)
+    blew = (
+        stop in (StopReason.TAIL_UNRESOLVED, StopReason.GRADIENT_THRESHOLD)
+        and grad0 > 0.0
+        and grad_sq >= cfg.blowup_grad_ratio * grad0
+    )
     ref = 1.0 if ref_grad_sq is None else float(ref_grad_sq)
     if math.isfinite(grad_sq) and grad_sq > 0.0:
         scale = math.sqrt(ref / grad_sq)

@@ -14,13 +14,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .diagnostics import (
-    BalanceReport,
-    RowTable,
-    TrajectoryRecorder,
-    balance_report,
-    gradient_window_rule,
-)
+from .diagnostics import BalanceReport, RowTable, TrajectoryRecorder, balance_report
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
 from .ground_state import GroundState, pde_residual, solve_ground_state
 from .reporting import dump_json, format_float
@@ -616,7 +610,7 @@ def run_scenario(
         raise ConfigurationError("supplied ground state does not match the scenario grid")
     u0 = build_initial(grid, cfg.initial, gs)
     outer_fraction = _initial_outer_mass_fraction(u0)
-    recorder = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq))
+    recorder = TrajectoryRecorder(a, gs.grad_sq)
     report = evolve(u0, a, cfg.sim, recorder, ref_grad_sq=gs.grad_sq)
     rows = recorder.rows
     balance = balance_report(rows, a) if len(rows) >= 2 else None

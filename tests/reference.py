@@ -57,10 +57,10 @@ def snapshot_block(field: ComplexField, t=0.0, dt_used=0.0, tail_fraction=0.0) -
     return SnapshotBlock(field.grid, meta, values[None], np.fft.fftn(values)[None])
 
 
-def diagnostics_row(field: ComplexField, a: DampingProfile, w_rule, dt_used=0.0,
+def diagnostics_row(field: ComplexField, a: DampingProfile, ref_grad_sq, dt_used=0.0,
                     tail_fraction=0.0) -> dict:
     """The row of `field` at t = 0, keyed by rows.csv column: its block of one from compute_row."""
-    values = compute_row(snapshot_block(field, 0.0, dt_used, tail_fraction), a, w_rule)[0]
+    values = compute_row(snapshot_block(field, 0.0, dt_used, tail_fraction), a, ref_grad_sq)[0]
     return dict(zip(RowTable(field.grid.dim).names, values.tolist()))
 
 

@@ -1,6 +1,6 @@
-"""Property checks: the windowed masses of a block, by prefix sum in 1-D and
-by a cached real ball spectrum for d ≥ 2, against the FFT circular
-convolution and against one call per snapshot."""
+"""Property checks: the windowed masses of a block, by a cached real ball
+spectrum in every dimension, against the complex-FFT circular convolution
+and against one call per snapshot."""
 
 import gc
 import weakref
@@ -14,7 +14,7 @@ from reference import windowed_mass
 from nlsdamp import ComplexField, Grid, concentration_mass
 
 # Gap between the two windowed masses, relative to the total mass ∫|u|².
-TOL = {"prefix_sum_window": 1e-12, "ball_spectrum_window": 1e-12}
+TOL = {"ball_spectrum_window_1d": 1e-12, "ball_spectrum_window": 1e-12}
 
 
 def fft_windowed_mass(grid, values, w):
@@ -50,7 +50,7 @@ def _block_masses(grid, values, windows):
         min_size=1, max_size=6,
     ),
 )
-def test_prefix_sum_window_matches_fft_convolution(seed, log2_n, half_width, envelope, picks):
+def test_ball_spectrum_window_1d_matches_fft_convolution(seed, log2_n, half_width, envelope, picks):
     g = Grid(1, 2**log2_n, half_width)
     n = g.points_per_axis
     rng = np.random.default_rng(seed)
@@ -72,7 +72,7 @@ def test_prefix_sum_window_matches_fft_convolution(seed, log2_n, half_width, env
     total = (values.real**2 + values.imag**2).sum() * g.cell_volume
     for w, mass in zip(windows, _block_masses(g, values, windows)):
         ref = fft_windowed_mass(g, values, w)
-        assert abs(mass - ref.max()) <= TOL["prefix_sum_window"] * total
+        assert abs(mass - ref.max()) <= TOL["ball_spectrum_window_1d"] * total
 
 
 @settings(max_examples=40, deadline=None)

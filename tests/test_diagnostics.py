@@ -34,7 +34,6 @@ from nlsdamp import (
     ensure_ground_state,
     evolve,
     gn_ratio,
-    gradient_window_rule,
     load_scenario_config,
     mass_balance_residual,
     mass_envelope_check,
@@ -44,6 +43,7 @@ from nlsdamp import (
 )
 from nlsdamp.cli import main
 from nlsdamp.diagnostics import (
+    _windows,
     csv_header,
     random_smooth_field,
 )
@@ -89,7 +89,7 @@ def _bump_profile(grid, amp=1.0, s=2.0):
 
 def _record(u0, a, gs, dt0=1e-3, t_end=0.5, record_every=5):
     cfg = SimConfig(dt0=dt0, t_end=t_end, adapt_const=1e-2, record_every=record_every)
-    rec = TrajectoryRecorder(a, gradient_window_rule(gs.grad_sq))
+    rec = TrajectoryRecorder(a, gs.grad_sq)
     evolve(u0, a, cfg, rec)
     return rec
 
@@ -126,7 +126,7 @@ def test_balance_sign_oracle(gs_1d):
 
 def test_row_ground_state_free(gs_1d):
     row = diagnostics_row(gs_1d.field(), DampingProfile.zero(gs_1d.grid),
-                          gradient_window_rule(gs_1d.grad_sq))
+                          gs_1d.grad_sq)
     assert abs(row["energy"]) < TOL["row_energy"]
     assert abs(row["p_1"]) < TOL["row_momentum"]
     assert row["h_value"] == 0.0
@@ -143,7 +143,7 @@ def test_row_constant_damping_reduction(gs_1d):
     # With a = 1 the dissipation functional reduces to lp - grad, which for
     # the ground state equals its squared critical norm.
     row = diagnostics_row(gs_1d.field(), DampingProfile.constant(gs_1d.grid, 1.0),
-                          lambda _: 1.0)
+                          1.0)
     assert row["re_grad_a_term"] == 0.0
     assert row["int_a_u2"] == pytest.approx(row["mass_sq"], rel=1e-13)
     assert row["h_value"] == pytest.approx(Q_MASS_SQ, abs=TOL["row_reduction"])
@@ -154,7 +154,7 @@ def test_row_boosted_momentum():
     k0 = g.wavenumbers[8]
     x = g.axis
     u = ComplexField(g, np.exp(-0.5 * x * x) * np.exp(1j * k0 * x))
-    row = diagnostics_row(u, DampingProfile.zero(g), lambda _: 1.0)
+    row = diagnostics_row(u, DampingProfile.zero(g), 1.0)
     assert [name for name in row if name.startswith("p_")] == ["p_1"]
     assert row["p_1"] == pytest.approx(k0 * math.sqrt(math.pi),
                                        rel=TOL["boosted_momentum"])
@@ -163,7 +163,7 @@ def test_row_boosted_momentum():
 def test_row_zero_field():
     g = Grid(1, 64, 10.0)
     row = diagnostics_row(ComplexField(g, np.zeros(g.shape)),
-                          DampingProfile.zero(g), gradient_window_rule(1.0))
+                          DampingProfile.zero(g), 1.0)
     assert row["mass_sq"] == 0.0
     assert row["conc_mass"] == 0.0
     assert row["window_w"] == 0.0
@@ -319,7 +319,7 @@ def test_recorded_run_memory_grows_by_rows_not_fields():
 
     def recorded_peak(steps):
         cfg = SimConfig(dt0=dt, t_end=steps * dt, record_every=1)
-        rec = TrajectoryRecorder(a, gradient_window_rule(1.0))
+        rec = TrajectoryRecorder(a, 1.0)
         peak = traced_peak(lambda: evolve(u0, a, cfg, rec))
         return len(rec.rows), peak
 
@@ -336,9 +336,8 @@ def _row_peak(g, a):
     one whose field and spectrum already exist, in complex grid arrays."""
     values = 3.0 * random_smooth_field(g, np.random.default_rng(5)).values
     block = snapshot_block(ComplexField(g, values))
-    rule = gradient_window_rule(1.0)
-    compute_row(block, a, rule)
-    return traced_peak(lambda: compute_row(block, a, rule)) / values.nbytes
+    compute_row(block, a, 1.0)
+    return traced_peak(lambda: compute_row(block, a, 1.0)) / values.nbytes
 
 
 @pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64), (3, 32)])
@@ -385,7 +384,7 @@ def test_norms_are_the_row_integrals(dim, n):
     g = Grid(dim, n, 10.0)
     u = random_smooth_field(g, np.random.default_rng(dim))
     nm = norms(u)
-    row = diagnostics_row(u, DampingProfile.zero(g), lambda _: 1.0)
+    row = diagnostics_row(u, DampingProfile.zero(g), 1.0)
     for name in ("mass_sq", "grad_sq", "lp_power"):
         assert getattr(nm, name).hex() == row[name].hex(), name
 
@@ -541,9 +540,15 @@ def test_gn_ratio_zero_field_raises():
 
 
 def test_window_rules():
-    rule = gradient_window_rule(4.0)
-    assert rule(4.0) == pytest.approx(1.0, rel=1e-15)
-    assert rule(64.0) == pytest.approx(0.5, rel=1e-15)
-    assert rule(0.0) == math.inf
+    # w = (‖∇Q‖/‖∇u‖)^(1/2) for ‖∇Q‖² = 4; no gradient content gives the 0.99 L clamp.
+    g = Grid(1, 64, 10.0)
+    block = np.ones((3, *g.shape))
+    _, radius = _windows(g, block, np.ones(3), np.array([4.0, 64.0, 0.0]), 4.0)
+    assert radius[0] == pytest.approx(1.0, rel=1e-15)
+    assert radius[1] == pytest.approx(0.5, rel=1e-15)
+    assert radius[2] == 0.99 * g.half_width
+    a = DampingProfile.zero(g)
     with pytest.raises(ValueError):
-        gradient_window_rule(0.0)
+        TrajectoryRecorder(a, 0.0)
+    with pytest.raises(ValueError):
+        compute_row(snapshot_block(ComplexField(g, np.ones(g.shape))), a, 0.0)

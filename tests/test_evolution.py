@@ -1,6 +1,7 @@
 """Splitting substeps, the exact damping kick, adaptive stepping, and guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from nlsdamp import (
     SimConfig,
     StopReason,
     build_damping,
+    catalog,
     evolve,
     norms,
+    run_scenario,
 )
 from nlsdamp.diagnostics import random_smooth_field
 from nlsdamp.evolution import (
@@ -184,8 +187,9 @@ def test_dt_from_grad_arithmetic():
     assert _dt_from_grad(spectral_grad_sq, mid) == pytest.approx(0.01, rel=TOL["dt_from_grad"])
     high = SimConfig(dt0=0.1, t_end=1.0, adapt_const=10.0 * grad_sq, dt_min=1e-9)
     assert _dt_from_grad(spectral_grad_sq, high) == 0.1
+    # Below the floor the rule's value is returned, not dt_min: evolve stops on it.
     low = SimConfig(dt0=0.1, t_end=1.0, adapt_const=1e-10 * grad_sq, dt_min=1e-9)
-    assert _dt_from_grad(spectral_grad_sq, low) == 1e-9
+    assert _dt_from_grad(spectral_grad_sq, low) == pytest.approx(1e-10, rel=TOL["dt_from_grad"])
     zero_grad_sq = _spectral_norms(np.zeros(g.shape, dtype=np.complex128), g, weights)[1]
     assert _dt_from_grad(zero_grad_sq, mid) == mid.dt0
 
@@ -269,6 +273,39 @@ def test_evolve_collapse_detection(gs_1d):
     assert report.peak_grad_sq >= cfg.blowup_grad_ratio * grad0
     assert 0.0 < report.scale_at_detect < 0.3
     assert not report.boundary_mass_flag
+
+
+def test_dt_floor_stops_collapse_as_blowup(gs_1d):
+    # collapse_free_1p2 with a floor the step rule crosses before the tail
+    # guard trips (at t ≈ 0.2685 with the catalog's floor): the run stops at
+    # the first state whose rule step adapt_const/‖∇u‖² is below dt_min, and
+    # the growth of ‖∇u‖² classifies the stop as blow-up.
+    cfg = next(c for c in catalog() if c.scenario_id == "collapse_free_1p2")
+    cfg = replace(cfg, sim=replace(cfg.sim, dt_min=9.9e-4))
+    result = run_scenario(cfg, gs=gs_1d, write_outputs=False)
+    report, rows = result.report, result.rows
+    assert report.stop_reason is StopReason.GRADIENT_THRESHOLD
+    assert report.blew_up
+    assert report.t_detect == pytest.approx(0.213, abs=1e-3)
+    grad_sq, dt_used = rows.column("grad_sq"), rows.column("dt_used")
+    assert cfg.sim.adapt_const / grad_sq[-1] < cfg.sim.dt_min
+    assert (dt_used[1:] >= cfg.sim.dt_min).all()
+    assert grad_sq[-1] >= cfg.sim.blowup_grad_ratio * grad_sq[0]
+
+
+def test_dt_floor_stops_before_the_first_step():
+    # The rule's step, adapt_const/‖∇u₀‖² ≈ 1.1e-6, is below dt_min at t = 0:
+    # the run stops there, with the one row of t = 0, and is not blow-up.
+    g = Grid(1, 512, 20.0)
+    cfg = SimConfig(dt0=1e-3, t_end=1.0, adapt_const=1e-6, dt_min=1e-5)
+    assert _dt_from_grad(norms(_gaussian_field(g)).grad_sq, cfg) < cfg.dt_min
+    times = []
+    report = evolve(_gaussian_field(g), DampingProfile.zero(g), cfg,
+                    sink=lambda s, dt, tail: times.append(s.time))
+    assert report.stop_reason is StopReason.GRADIENT_THRESHOLD
+    assert not report.blew_up
+    assert report.t_detect == 0.0
+    assert times == [0.0]
 
 
 def test_evolve_repeat_runs_bitwise_identical():

@@ -11,12 +11,15 @@ MODULES = ["nlsdamp"] + [f"nlsdamp.{m.name}" for m in pkgutil.iter_modules(nlsda
 # Test oracles that moved to tests/reference.py, the row object that rows
 # as a RowTable of columns replaced, the window result and density block
 # that block-only windows replaced, the grid comparison that `Grid`'s
-# own `==` replaced, and the row sums that `spectral.abs2` and
-# `spectral.grid_dot` replaced; the package no longer defines them.
+# own `==` replaced, the row sums that `spectral.abs2` and
+# `spectral.grid_dot` replaced, the window rule that a float ‖∇Q‖²
+# replaced, and the dt-floor growth gate that the floor stop replaced; the
+# package no longer defines them.
 RETIRED = [
     "strang_step", "closed_form_q_1d", "csv_line", "DiagnosticsRow",
     "ConcentrationResult", "DensityBlock", "_tail_mask", "_boundary_mask",
-    "same_layout", "_dot", "_abs2",
+    "same_layout", "_dot", "_abs2", "gradient_window_rule", "WindowRule",
+    "GRAD_RATIO_THRESHOLD",
 ]
 
 

@@ -25,7 +25,6 @@ from nlsdamp import (
     compute_row,
     energy_balance_residual,
     evolve,
-    gradient_window_rule,
     mass_balance_residual,
     mass_envelope_check,
     momentum_balance_residual,
@@ -164,7 +163,7 @@ def row_matrices(draw, values=VALUES):
 def _recorded_rows():
     g = Grid(1, 64, 10.0)
     a = DampingProfile.constant(g, 0.25)
-    rec = TrajectoryRecorder(a, gradient_window_rule(1.0))
+    rec = TrajectoryRecorder(a, 1.0)
     u0 = ComplexField(g, random_smooth_field(g, np.random.default_rng(3)).values)
     evolve(u0, a, SimConfig(dt0=1e-3, t_end=0.01, record_every=1), rec)
     return rec
@@ -217,7 +216,7 @@ def test_recorded_row_retains_at_most_two_values_of_8_bytes_per_column():
 
     def recorded_peak(steps):
         cfg = SimConfig(dt0=dt, t_end=steps * dt, record_every=1)
-        rec = TrajectoryRecorder(a, gradient_window_rule(1.0))
+        rec = TrajectoryRecorder(a, 1.0)
         peak = traced_peak(lambda: evolve(u0, a, cfg, rec))
         return len(rec.rows), peak
 
@@ -263,9 +262,9 @@ def test_blocked_rows_equal_one_snapshot_rows(dim, kinds, read_at, seed):
     g = Grid(1, 64, 10.0) if dim == 1 else Grid(2, 16, 8.0)
     assert block_size(g) == 16
     a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))
-    rule = gradient_window_rule(2.0)
+    ref_grad_sq = 2.0
     rng = np.random.default_rng(seed)
-    rec = TrajectoryRecorder(a, rule)
+    rec = TrajectoryRecorder(a, ref_grad_sq)
     expected = []
     for i, kind in enumerate(kinds):
         if i == read_at:
@@ -276,7 +275,7 @@ def test_blocked_rows_equal_one_snapshot_rows(dim, kinds, read_at, seed):
         # The block of one the recorder would form: the field from the spectrum.
         one = SnapshotBlock(g, np.array([[t, dt_used, tail]]), np.fft.ifftn(spectrum)[None],
                             spectrum[None])
-        expected.append(compute_row(one, a, rule)[0])
+        expected.append(compute_row(one, a, ref_grad_sq)[0])
     table = rec.rows
     assert len(table) == len(kinds) and len(rec.rows) == len(kinds)
     want = np.array(expected)
@@ -297,9 +296,9 @@ def test_recorded_rows_equal_rows_of_copied_spectra(dim, n, snapshots):
     g = Grid(dim, n, 10.0)
     assert block_size(g) == (16 if dim == 1 else 1)
     a = build_damping(g, DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0))
-    rule = gradient_window_rule(1.0)
+    ref_grad_sq = 1.0
     u0 = ComplexField(g, 2.0 * random_smooth_field(g, np.random.default_rng(8), 0.1).values)
-    rec = TrajectoryRecorder(a, rule)
+    rec = TrajectoryRecorder(a, ref_grad_sq)
     copies = []
 
     def sink(s, dt_used, tail):
@@ -312,7 +311,7 @@ def test_recorded_rows_equal_rows_of_copied_spectra(dim, n, snapshots):
                     record_every=record_every)
     evolve(u0, a, cfg, sink)
     assert len(copies) == snapshots
-    after = TrajectoryRecorder(a, rule)
+    after = TrajectoryRecorder(a, ref_grad_sq)
     for state, dt_used, tail in copies:
         after(state, dt_used, tail)
     during, later = rec.rows, after.rows

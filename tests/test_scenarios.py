@@ -256,7 +256,7 @@ def test_build_initial_scaled_and_boosted(gs_1d):
         grid, InitialSpec("boosted_ground_state", scale=1.0, velocity=v), gs_1d
     )
     assert norms(boosted).mass_sq == pytest.approx(gs_1d.mass_sq, rel=1e-12)
-    row = diagnostics_row(boosted, DampingProfile.zero(grid), lambda _: 1.0)
+    row = diagnostics_row(boosted, DampingProfile.zero(grid), 1.0)
     assert row["p_1"] == pytest.approx(v * gs_1d.mass_sq, rel=TOL["boosted_momentum"])
 
 
