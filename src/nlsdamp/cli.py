@@ -28,7 +28,7 @@ from .scenarios import (
     run_suite,
     summary_table,
 )
-from .spectral import ConfigurationError, Grid
+from .spectral import ConfigurationError
 
 __all__ = ["main", "build_parser"]
 
@@ -153,13 +153,12 @@ def _cmd_gn_check(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-    grid = Grid(args.dim, args.n, args.box)
     gs_obj = ensure_ground_state(args.dim, args.n, args.box, 1e-10)
     optimal = sharp_gn_constant(args.dim, gs_obj.mass_sq)
     rng = np.random.default_rng(args.seed)
     worst = -math.inf
     for _ in range(args.samples):
-        ratio = gn_ratio(random_smooth_field(grid, rng))
+        ratio = gn_ratio(random_smooth_field(gs_obj.grid, rng))
         worst = max(worst, ratio)
     ratio_at_gs = gn_ratio(gs_obj.field())
     print(f"samples           {args.samples}")

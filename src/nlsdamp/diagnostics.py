@@ -139,8 +139,9 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> 
     # One axis at a time, in one array for all axes: ∂_j u, transformed in
     # place, then overwritten by the flux conj(∂_j u)·u, whose real part is
     # that of (∂_j u)·ū and whose imaginary part is exactly its negative.
+    # ∂_j a is read one component at a time, as the profile may form it.
     flux = np.empty_like(u_hat)
-    for k, ga in zip(g.k_mesh, a.gradient_values):
+    for j, k in enumerate(g.k_mesh):
         np.multiply(k, u_hat, out=flux)
         flux *= 1j
         _ifft_block(flux, flux)  # ∂_j u
@@ -150,7 +151,7 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> 
         # 0.0 - x, not -x: a zero integral is +0.0, the sign (∂_j u)ū gives.
         momentum.append(0.0 - _sum(flux.imag) * vol)
         int_a_im_grad.append(0.0 - grid_dot(flux.imag, a.values) * vol)
-        re_grad_a += grid_dot(flux.real, ga)
+        re_grad_a += grid_dot(flux.real, a.gradient_values[j])
     del flux
     int_a_grad2 = a_grad2 * vol
     re_grad_a_term = re_grad_a * vol

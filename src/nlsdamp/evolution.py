@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -15,6 +14,7 @@ from .spectral import (
     ConfigurationError,
     DampingProfile,
     Grid,
+    _chebyshev,
     _require_finite,
     abs2,
     critical_power,
@@ -235,8 +235,8 @@ class _StrangKernel:
 def _spectral_norms(u_hat: np.ndarray, grid: Grid, weights: np.ndarray) -> Tuple[float, float, float]:
     """Σ|û|², ‖∇u‖² and the tail fraction, read from û.
 
-    `weights` stacks k2 and the tail weight, as `evolve` builds it, so both
-    weighted sums are one `grid_dot`. A phase on û drops out, so a spectrum
+    `weights` stacks k2 and the tail weight, as `grid.norm_weight` does, so
+    both weighted sums are one `grid_dot`. A phase on û drops out, so a spectrum
     that still owes a half phase gives the norms of the field it stands for.
     """
     spec2 = abs2(u_hat)
@@ -250,11 +250,6 @@ def _dt_from_grad(grad_sq: float, cfg: SimConfig) -> float:
     if grad_sq <= 0.0:
         return cfg.dt0
     return min(cfg.dt0, cfg.adapt_const / grad_sq)
-
-
-def _chebyshev(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """max_j |v_j| over the grid, for `values` v along each axis: one full array."""
-    return functools.reduce(np.maximum, np.ix_(*(np.abs(values),) * grid.dim))
 
 
 def evolve(
@@ -283,8 +278,8 @@ def evolve(
     boundary-mass flag is raised when a step's mid-step field, the one the
     kick acts on, holds more than BOUNDARY_MASS_LIMIT of its mass in the
     outer 10% of the box (max_j |x_j| >= 0.9 L); it is checked on every step.
-    Both masks threshold max_j |k_j| or max_j |x_j|, built from the 1-D
-    wavenumbers or axis (`_chebyshev`), not from the full-grid meshes.
+    The tail fraction's mask is row 1 of `grid.norm_weight` (see `Grid`); the
+    edge mask thresholds max_j |x_j|, built from the 1-D axis (`_chebyshev`).
 
     `ref_grad_sq` supplies the reference gradient integral (normally the
     matching ground state's) used for scale_at_detect = ‖∇Q‖/‖∇u(t_detect)‖;
@@ -294,10 +289,6 @@ def evolve(
     if a.grid != grid:
         raise ConfigurationError("damping profile and initial data live on different grids")
     kernel = _StrangKernel(grid, a)
-    # |k|² and the tail weight, the outer third of wavenumbers per axis
-    # (max_j |k_j| beyond 2/3 of Nyquist), stacked for one grid_dot a step.
-    k_max = float(np.max(np.abs(grid.wavenumbers)))
-    weights = np.stack([grid.k2, _chebyshev(grid, grid.wavenumbers) > (2.0 / 3.0) * k_max])
     edge_w = (_chebyshev(grid, grid.axis) >= 0.9 * grid.half_width).ravel().astype(np.float64)
     mass_per_total = grid.cell_volume / grid.size
 
@@ -323,7 +314,7 @@ def evolve(
         emitted_step = steps
 
     while True:
-        total, grad_sq, tail = _spectral_norms(u_hat, grid, weights)
+        total, grad_sq, tail = _spectral_norms(u_hat, grid, grid.norm_weight)
         # A non-finite value anywhere in u reaches every entry of û.
         if not math.isfinite(total):
             stop = StopReason.NONFINITE

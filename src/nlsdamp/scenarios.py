@@ -153,6 +153,9 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"conc_decade must be finite and > 1, got {self.conc_decade}"
             )
+        # Before a ground state is solved and cached; a bad box is left to Grid.
+        if self.damping.kind == "cosine" and math.isfinite(self.box) and self.box > 0:
+            _check_cosine_period(self.damping.wavelength, self.box)
 
 
 @dataclass(frozen=True)
@@ -296,12 +299,19 @@ def load_scenario_config(path) -> ScenarioConfig:
 
 # --- field builders ----------------------------------------------------------
 
+def _check_cosine_period(wavelength: float, half_width: float) -> None:
+    """ConfigurationError unless the wavelength divides the box width 2L (no kink at the edge)."""
+    periods = 2.0 * half_width / wavelength
+    if not (math.isfinite(periods) and abs(periods - round(periods)) <= 1e-9 * periods):
+        raise ConfigurationError(f"cosine wavelength {wavelength:g} does not divide "
+                                 f"the box width {2.0 * half_width:g}")
+
+
 def build_damping(grid: Grid, spec: DampingSpec) -> DampingProfile:
     """Sample the damping family in closed form, gradient included.
 
-    The cosine profile is periodic on the box only when the wavelength
-    divides the box width 2L; any other wavelength is a configuration error,
-    since a(x) would have a kink at the box edge.
+    The cosine's wavelength must divide the box width 2L. A bump's gradient
+    -(x_j/σ²)·a is formed per read; the cosine stores its one nonzero component.
     """
     if spec.kind == "zero":
         return DampingProfile.zero(grid)
@@ -313,15 +323,10 @@ def build_damping(grid: Grid, spec: DampingSpec) -> DampingProfile:
         s2 = spec.sigma * spec.sigma
         r2 = sum(c * c for c in grid.coords)
         vals = amp * np.exp(-r2 / (2.0 * s2))
-        grads = tuple(-(c / s2) * vals for c in grid.coords)
-        return DampingProfile(grid, vals, grads)
+        slope = grid._mesh(-(grid.axis / s2))
+        return DampingProfile(grid, vals, lambda j: slope[j] * vals)
     # cosine along the first axis
-    periods = 2.0 * grid.half_width / spec.wavelength
-    if abs(periods - round(periods)) > 1e-9 * periods:
-        raise ConfigurationError(
-            f"cosine wavelength {spec.wavelength:g} does not divide the box width "
-            f"{2.0 * grid.half_width:g}"
-        )
+    _check_cosine_period(spec.wavelength, grid.half_width)
     kwave = 2.0 * math.pi / spec.wavelength
     x1 = grid.coords[0]
     vals = spec.amplitude * np.cos(kwave * x1)
@@ -595,19 +600,20 @@ def run_scenario(
     gs: Optional[GroundState] = None,
     write_outputs: bool = True,
 ) -> ScenarioResult:
-    """Build the grid, damping, and initial datum; evolve; attach checks.
+    """Load or solve the ground state; on its grid, the run's only one, build
+    the damping and initial datum; evolve; attach checks.
 
     Writes rows.csv, report.json, balance.json, and checks.json under
     outputs/<scenario_id>/ unless write_outputs is False. An unresolved run
     (tail guard before any steps) gets a report but no claim checks.
     """
-    grid = Grid(cfg.dim, cfg.n, cfg.box)
-    a = build_damping(grid, cfg.damping)
     if gs is None:
         cache = Path(cfg.outputs) / "gs_cache" if write_outputs else None
         gs = ensure_ground_state(cfg.dim, cfg.n, cfg.box, cfg.gs_tol, cache_dir=cache)
-    if gs.grid != grid:
+    elif gs.grid != Grid(cfg.dim, cfg.n, cfg.box):
         raise ConfigurationError("supplied ground state does not match the scenario grid")
+    grid = gs.grid
+    a = build_damping(grid, cfg.damping)
     u0 = build_initial(grid, cfg.initial, gs)
     outer_fraction = _initial_outer_mass_fraction(u0)
     recorder = TrajectoryRecorder(a, gs.grad_sq)

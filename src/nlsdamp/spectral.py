@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Tuple
+from typing import Callable, Tuple, Union
 
 import numpy as np
 from numpy._core.multiarray import c_einsum
@@ -51,7 +51,10 @@ class Grid:
     `coords[j]` and `k_mesh[j]` are read-only views of the 1-D axis and
     wavenumbers, broadcast to the grid shape with stride 0 off axis j: they
     read like `np.meshgrid(..., indexing="ij")` but hold no full-grid array.
-    `k2` is one full array.
+    The one full array is `norm_weight`, (2, *shape): row 0 is |k|² (`k2` is
+    a view of it); row 1 is `evolve`'s tail mask, max_j |k_j| > (2/3)·max|k|,
+    referenced by `tail_mask` in tests/reference.py. A grid that only a
+    ground-state solve uses holds row 1 too, one real array it never reads.
 
     Parameters
     ----------
@@ -71,6 +74,7 @@ class Grid:
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
     coords: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     k_mesh: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    norm_weight: np.ndarray = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -96,12 +100,15 @@ class Grid:
         k_axis = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
         coords = self._mesh(axis)
         k_mesh = self._mesh(k_axis)
-        k2 = sum(k * k for k in k_mesh)
+        weight = np.empty((2, *self.shape))
+        weight[0] = sum(k * k for k in k_mesh)
+        weight[1] = _chebyshev(self, k_axis) > (2.0 / 3.0) * float(np.max(np.abs(k_axis)))
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "wavenumbers", k_axis)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "k_mesh", k_mesh)
-        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "norm_weight", weight)
+        object.__setattr__(self, "k2", weight[0])
 
     def _mesh(self, values: np.ndarray) -> Tuple[np.ndarray, ...]:
         """`values` along each axis j in turn, broadcast over the others."""
@@ -128,6 +135,11 @@ class Grid:
         return self.spacing**self.dim
 
 
+def _chebyshev(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """max_j |v_j| over the grid, for `values` v along each axis: one full array."""
+    return functools.reduce(np.maximum, np.ix_(*(np.abs(values),) * grid.dim))
+
+
 @dataclass(eq=False)
 class ComplexField:
     """A complex state sampled on a Grid."""
@@ -144,32 +156,48 @@ class ComplexField:
         self.values = arr
 
 
+class _Formed:
+    """d gradient components; component j is formed by form(j) on each read."""
+
+    def __init__(self, dim: int, form: Callable[[int], np.ndarray]):
+        self._dim, self._form = dim, form
+
+    def __len__(self) -> int:
+        return self._dim
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self._form(range(self._dim)[j])
+
+
 @dataclass(frozen=True, eq=False)
 class DampingProfile:
     """Samples of a real coefficient a(x) together with its gradient.
 
     The gradient is supplied in closed form alongside a(x) so that no
     numerical differentiation enters the flux terms; consistency with
-    spectral differentiation is checked by the test suite. A component that
-    vanishes is a read-only `_zero_view`, not a full-grid array.
+    spectral differentiation is checked by the test suite. It is d arrays,
+    or a function of j forming ∂_j a: then `gradient_values[j]` forms it per
+    call and no gradient is held. A component that vanishes is a read-only
+    `_zero_view`, not a full-grid array.
     """
 
     grid: Grid
     values: np.ndarray
-    gradient_values: Tuple[np.ndarray, ...]
+    gradient_values: Union[Tuple[np.ndarray, ...], Callable[[int], np.ndarray]]
     sup_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != self.grid.shape:
             raise ValueError("damping samples do not match the grid shape")
-        grads = tuple(np.asarray(g, dtype=np.float64) for g in self.gradient_values)
-        if len(grads) != self.grid.dim:
-            raise ValueError(
-                f"expected {self.grid.dim} gradient components, got {len(grads)}"
-            )
-        for g in grads:
-            if g.shape != self.grid.shape:
+        grads = self.gradient_values
+        if callable(grads):
+            grads = _Formed(self.grid.dim, grads)
+        else:
+            grads = tuple(np.asarray(g, dtype=np.float64) for g in grads)
+            if len(grads) != self.grid.dim:
+                raise ValueError(f"expected {self.grid.dim} gradient components, got {len(grads)}")
+            if any(g.shape != self.grid.shape for g in grads):
                 raise ValueError("gradient samples do not match the grid shape")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "gradient_values", grads)

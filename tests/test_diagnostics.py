@@ -370,6 +370,17 @@ def test_zero_damping_holds_no_gradient_arrays():
         assert not grad.flags.writeable
 
 
+def test_bump_damping_holds_no_gradient_arrays():
+    # A bump's ∂_j a = -(x_j/σ²)·a is formed when a row reads it, so the
+    # profile at 64³ holds a(x) alone, as the zero profile does (8 MiB with
+    # three stored full-grid gradients).
+    g = Grid(3, 64, 10.0)
+    spec = DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0)
+    held = traced_held(lambda: build_damping(g, spec))
+    print(f"bump profile holds {held / 2**20:.2f} MiB")
+    assert held <= 2.1 * 2**20
+
+
 def test_grid_dot_reads_a_zero_gradient_without_copying_it():
     g = Grid(3, 32, 10.0)
     x = np.random.default_rng(3).standard_normal((2, *g.shape))

@@ -396,11 +396,12 @@ def test_evolve_first_transform_holds_one_grid_array(monkeypatch, dim, n):
 @pytest.mark.parametrize("dim, n", [(1, 512), (2, 128), (3, 32)])
 def test_evolve_masks_match_full_grid_reference(monkeypatch, dim, n):
     # The tail and edge weights evolve passes on, bit for bit the masks
-    # built from the full-grid meshes.
+    # built from the full-grid meshes; |k|² is the grid's own, not a copy.
     seen = {}
 
     def norms_spy(u_hat, grid, weights, _fn=_spectral_norms):
         seen["k2"], seen["tail"] = weights
+        seen["k2_shared"] = np.shares_memory(grid.k2, weights)
         return _fn(u_hat, grid, weights)
 
     def advance_spy(self, u_hat, h, dt, edge_w=None, _fn=_StrangKernel.advance):
@@ -412,6 +413,7 @@ def test_evolve_masks_match_full_grid_reference(monkeypatch, dim, n):
     g = Grid(dim, n, 10.0)
     evolve(_gaussian_field(g), DampingProfile.zero(g), SimConfig(dt0=1e-3, t_end=1e-3))
     assert seen["tail"].dtype == np.float64
+    assert seen["k2_shared"]
     assert np.array_equal(seen["k2"], g.k2)
     assert np.array_equal(seen["tail"], tail_mask(g).astype(np.float64))
     assert np.array_equal(seen["edge"], boundary_mask(g).ravel().astype(np.float64))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from reference import diagnostics_row, row_table
 
 from nlsdamp import (
@@ -42,6 +43,7 @@ from nlsdamp.scenarios import (
     _SUITE_KEYS,
     apply_suite_overrides,
     check_claim,
+    load_scenario_config,
     parse_config_text,
     parse_suite_config_text,
     scenario_config_from_dict,
@@ -172,6 +174,17 @@ def test_scenario_config_from_dict_defaults_and_leftovers():
         scenario_config_from_dict({"dim": 1, "mystery": 2})
 
 
+def test_cosine_period_is_checked_at_config_load(tmp_path):
+    # A cosine that does not fit the box fails as the config is read, before
+    # any ground state is solved or cached.
+    path = tmp_path / "cosine.cfg"
+    path.write_text("box = 10.0\ndamping = cosine\ndamping_wavelength = 7\n")
+    with pytest.raises(ConfigurationError, match="cosine wavelength 7 does not divide"):
+        load_scenario_config(path)
+    path.write_text("box = 10.0\ndamping = cosine\ndamping_wavelength = 5\n")
+    assert load_scenario_config(path).damping.wavelength == 5.0
+
+
 def test_schema_round_trips_every_key():
     assert list(_SCENARIO_KEYS) == list(FLAT_KEYS)
     assert set(_SUITE_KEYS) == SUITE_KEYS
@@ -237,6 +250,30 @@ def test_build_damping_kinds_and_gradients():
     assert zero.sup_norm == 0.0
     const = build_damping(grid, DampingSpec("constant", amplitude=0.3))
     assert np.all(const.values == 0.3)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 64), (3, 16)])
+def test_gradients_formed_per_read_match_stored_ones(dim, n):
+    # A bump's ∂_j a, formed when read, is bit for bit the array -(x_j/σ²)·a
+    # formed with a(x); the cosine's stored -A k sin(k x_1) and zeros are
+    # checked alike. The rows' flux terms, and so rows.csv, keep their bits.
+    g = Grid(dim, n, 10.0)
+    for spec in (
+        DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0),
+        DampingSpec("negative_bump", amplitude=0.7, sigma=1.5),
+        DampingSpec("cosine", amplitude=0.7, wavelength=5.0),
+    ):
+        a = build_damping(g, spec)
+        if spec.kind == "cosine":
+            kwave = 2.0 * math.pi / spec.wavelength
+            first = -spec.amplitude * kwave * np.sin(kwave * g.coords[0])
+            stored = (first,) + (np.zeros(g.shape),) * (dim - 1)
+        else:
+            s2 = spec.sigma * spec.sigma
+            stored = tuple(-(c / s2) * a.values for c in g.coords)
+        assert len(a.gradient_values) == dim
+        for j in range(dim):
+            assert np.array_equal(a.gradient_values[j], stored[j]), (spec.kind, j)
 
 
 def test_build_initial_gaussian_mass():
@@ -591,6 +628,27 @@ def test_run_scenario_rejects_mismatched_ground_state(gs_1d):
     )
     with pytest.raises(ConfigurationError):
         run_scenario(cfg, gs=gs_1d, write_outputs=False)
+
+
+def test_cold_run_holds_each_grid_array_once():
+    # A cold 32³ run makes one grid, the ground state's, builds the damping
+    # after the solve and no gradient array, and sums |k|² from the grid's
+    # norm weight: its traced peak is 10.1 to 10.9 complex grid arrays, as
+    # numpy has more or less of its own state cached. Two grids, the damping
+    # built first, a stacked copy of |k|² and three stored gradients made it
+    # 12.6 to 13.4.
+    cfg = ScenarioConfig(
+        scenario_id="cold", dim=3, n=32, box=6.0,
+        initial=InitialSpec("scaled_ground_state", scale=0.9),
+        damping=DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0),
+        sim=SimConfig(t_end=0.01, record_every=20),
+    )
+    results = []
+    peak = traced_peak(lambda: results.append(run_scenario(cfg, write_outputs=False)))
+    print(f"cold run peak {peak / (16 * 32**3):.2f} complex grid arrays")
+    assert results[0].report.stop_reason is StopReason.HORIZON_REACHED
+    assert len(results[0].rows) == 5
+    assert peak <= 11.5 * 16 * 32**3
 
 
 # --- catalog and suite -------------------------------------------------------
