@@ -8,6 +8,7 @@ errors and on initial data the grid cannot resolve.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -68,11 +69,10 @@ def _write_profile_csv(path: Path, gs_obj) -> None:
     g = gs_obj.grid
     cols = [f"x_{j + 1}" for j in range(g.dim)] + ["q"]
     lines = [",".join(cols)]
-    flat = gs_obj.profile.reshape(-1)
-    coords = [c.reshape(-1) for c in g.coords]
-    for i in range(flat.size):
-        cells = [format_float(c[i]) for c in coords] + [format_float(flat[i])]
-        lines.append(",".join(cells))
+    # Row-major order: the last axis varies fastest, as in the raveled profile.
+    points = itertools.product(g.axis.tolist(), repeat=g.dim)
+    for point, q in zip(points, gs_obj.profile.reshape(-1).tolist()):
+        lines.append(",".join(map(format_float, (*point, q))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -131,8 +131,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         print(f"envelope ok      {str(b.envelope_ok).lower()}")
     for check in result.checks:
         print(f"check {check.claim}: {check.status} ({check.notes})")
-    if result.out_dir is not None:
-        print(f"outputs in   {result.out_dir}")
+    print(f"outputs in   {result.out_dir}")
     hard_fail = result.any_check_failed or not math.isfinite(r.terminal_mass_sq)
     return 1 if hard_fail else 0
 

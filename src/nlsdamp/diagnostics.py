@@ -12,7 +12,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .evolution import EvolutionState
-from .spectral import ComplexField, DampingProfile, Grid, abs2, critical_power, grid_dot, norms
+from .spectral import ComplexField, DampingProfile, Grid, _block_norms, _sum, _sum_sq, abs2, grid_dot, norms
 
 __all__ = [
     "block_size",
@@ -82,11 +82,6 @@ class SnapshotBlock:
     spectra: np.ndarray
 
 
-def _sum(x: np.ndarray) -> np.ndarray:
-    """Σ x over the grid axes, one sum per snapshot of the block x."""
-    return x.reshape(x.shape[0], -1).sum(axis=1)
-
-
 def _ifft_block(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Inverse FFT over the grid axes of each snapshot of the block x, into out.
 
@@ -120,14 +115,8 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> 
     d = g.dim
     vol = g.cell_volume
     vals, u_hat = block.values, block.spectra
-    u2 = abs2(vals)
-    mass_sq = _sum(u2) * vol
+    u2, absp, mass_sq, grad_sq, lp_power = _block_norms(g, vals, u_hat)
     int_a_u2 = grid_dot(u2, a.values) * vol
-    grad_sq = grid_dot(abs2(u_hat), g.k2) * vol / g.size
-    # |u|^(4/d+2) = |u|^(4/d)·|u|².
-    absp = critical_power(u2.copy(), d)
-    absp *= u2
-    lp_power = _sum(absp) * vol
     int_a_lp = grid_dot(absp, a.values) * vol
     del absp
     energy = 0.5 * grad_sq - d / (4.0 + 2.0 * d) * lp_power
@@ -401,10 +390,10 @@ class EnvelopeCheck:
 def mass_envelope_check(table: RowTable, a: DampingProfile) -> EnvelopeCheck:
     """Check ‖u₀‖e^(-‖a‖∞ t) <= ‖u(t)‖ <= ‖u₀‖e^(+‖a‖∞ t) on every row.
 
-    Margins carry an absolute slack of 1e-8·‖u₀‖ against round-off. A
-    non-finite margin fails the check, with worst = NaN. Reads the t and
-    mass_sq columns as Python floats: math.exp, not np.exp, whose last bit
-    can differ.
+    Margins carry an absolute slack of 1e-8·‖u₀‖ against round-off. An upper
+    bound that overflows is +∞, and holds. A non-finite mass or a NaN margin
+    fails the check, with worst = NaN. Reads the t and mass_sq columns as
+    Python floats: math.exp, not np.exp, whose last bit can differ.
     """
     if not len(table):
         raise ValueError("need at least one diagnostics row")
@@ -414,10 +403,13 @@ def mass_envelope_check(table: RowTable, a: DampingProfile) -> EnvelopeCheck:
     worst = math.inf
     for t, m in zip(table.column("t").tolist(), masses):
         val = math.sqrt(m)
-        upper = u0 * math.exp(a.sup_norm * t) + eps
+        try:
+            upper = u0 * math.exp(a.sup_norm * t) + eps
+        except OverflowError:
+            upper = math.inf
         lower = u0 * math.exp(-a.sup_norm * t) - eps
         margins = (upper - val, val - lower)
-        if not all(map(math.isfinite, margins)):
+        if not math.isfinite(val) or any(map(math.isnan, margins)):
             return EnvelopeCheck(ok=False, worst=math.nan)
         worst = min(worst, *margins)
     return EnvelopeCheck(ok=worst >= 0.0, worst=worst)
@@ -453,9 +445,7 @@ def balance_report(
 
 def _grid_r2(dim: int, n: int, half_width: float) -> np.ndarray:
     """Squared distance of every grid point from the center index."""
-    sq = Grid(1, n, half_width).axis ** 2
-    # Summed in axis order, as Σ_j coords[j]² would be.
-    return sum(np.ix_(*(sq,) * dim))
+    return _sum_sq(dim, Grid(1, n, half_width).axis)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -266,13 +266,14 @@ def evolve(
     cfg.tail_threshold; the step rule's dt below cfg.dt_min; t >= t_end.
     The sink, when given, receives a snapshot (state, dt_used,
     tail_fraction) at t = 0, every cfg.record_every accepted steps, and at
-    the stop. The snapshot is the stepped û, with its owed half phase
-    applied, lent for the call (see EvolutionState).
+    the stop, each step once; a non-finite stop gives none. The snapshot is
+    the stepped û, with its owed half phase applied, lent for the call (see
+    EvolutionState).
 
     The state carried from step to step is the spectrum û, and adjacent
     half phases are merged, so a step costs one inverse and one forward FFT.
     Both are taken in û's own array, so one state array, never u0's, serves
-    the whole run.
+    the whole run, and u0 is released after the first transform.
     Mass, ‖∇u‖² and the tail fraction are read from û, and the sink is
     lent û itself, so the physical field is formed only inside a step. The
     boundary-mass flag is raised when a step's mid-step field, the one the
@@ -293,8 +294,9 @@ def evolve(
     mass_per_total = grid.cell_volume / grid.size
 
     # Into one new array, so u0 is never written: without out=, fftn
-    # allocates one array per axis.
+    # allocates one array per axis. u0 is not read again.
     u_hat = kernel.fft(u0.values, out=np.empty_like(u0.values))
+    del u0
     # Half phase not yet applied to û: u(t) = IFFT(exp(-i|k|² owed) û).
     owed = 0.0
     t = 0.0
@@ -303,15 +305,6 @@ def evolve(
     grad0: Optional[float] = None
     peak_grad = 0.0
     boundary_flag = False
-    emitted_step = -1
-
-    def emit(tail: float) -> None:
-        nonlocal emitted_step, owed
-        if sink is not None:
-            kernel.phase(u_hat, owed)
-            owed = 0.0
-            sink(EvolutionState(t, u_hat, steps), last_dt, tail)
-        emitted_step = steps
 
     while True:
         total, grad_sq, tail = _spectral_norms(u_hat, grid, grid.norm_weight)
@@ -325,17 +318,20 @@ def evolve(
         if grad0 is None:
             grad0 = grad_sq
         peak_grad = max(peak_grad, grad_sq)
-        if steps % cfg.record_every == 0 and steps != emitted_step:
-            emit(tail)
+        dt = _dt_from_grad(grad_sq, cfg)
         if tail > cfg.tail_threshold:
             stop = StopReason.TAIL_UNRESOLVED
-            break
-        dt = _dt_from_grad(grad_sq, cfg)
-        if dt < cfg.dt_min:
+        elif dt < cfg.dt_min:
             stop = StopReason.GRADIENT_THRESHOLD
-            break
-        if t >= cfg.t_end * (1.0 - 1e-12):
+        elif t >= cfg.t_end * (1.0 - 1e-12):
             stop = StopReason.HORIZON_REACHED
+        else:
+            stop = None
+        if sink is not None and (stop is not None or steps % cfg.record_every == 0):
+            kernel.phase(u_hat, owed)
+            owed = 0.0
+            sink(EvolutionState(t, u_hat, steps), last_dt, tail)
+        if stop is not None:
             break
         dt = min(dt, cfg.t_end - t)
         u_hat, edge = kernel.advance(u_hat, owed + 0.5 * dt, dt, None if boundary_flag else edge_w)
@@ -347,8 +343,6 @@ def evolve(
         if edge > BOUNDARY_MASS_LIMIT * total / grid.size:
             boundary_flag = True
 
-    if stop is not StopReason.NONFINITE and steps != emitted_step:
-        emit(tail)
     blew = (
         stop in (StopReason.TAIL_UNRESOLVED, StopReason.GRADIENT_THRESHOLD)
         and grad0 > 0.0

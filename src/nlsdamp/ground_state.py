@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .spectral import ComplexField, ConfigurationError, Grid, abs2, critical_power, grid_dot, norms
+from .spectral import ComplexField, ConfigurationError, Grid, _sum_sq, abs2, critical_power, grid_dot, norms
 
 __all__ = [
     "ConvergenceError",
@@ -167,8 +167,7 @@ def solve_ground_state(
     helmholtz, weight = _half_spectrum(grid)
     inv_helmholtz = 1.0 / helmholtz
     if initial is None:
-        r2 = sum(c * c for c in grid.coords)
-        q = 2.0 * np.exp(-r2)
+        q = 2.0 * np.exp(-_sum_sq(grid.dim, grid.axis))
     else:
         q = np.array(initial, dtype=np.float64, copy=True)
         if q.shape != grid.shape:

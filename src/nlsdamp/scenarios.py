@@ -18,7 +18,8 @@ from .diagnostics import BalanceReport, RowTable, TrajectoryRecorder, balance_re
 from .evolution import BlowupReport, SimConfig, StopReason, evolve
 from .ground_state import GroundState, pde_residual, solve_ground_state
 from .reporting import dump_json, format_float
-from .spectral import ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite, _zero_view, abs2
+from .spectral import (ComplexField, ConfigurationError, DampingProfile, Grid, _require_finite,
+                       _sum_sq, _zero_view, abs2)
 
 __all__ = [
     "InitialSpec",
@@ -181,7 +182,7 @@ class ScenarioResult:
     rows: RowTable
     balance: Optional[BalanceReport]
     checks: List[TheoremCheckReport]
-    out_dir: Optional[Path]
+    out_dir: Path
     initial_outer_mass_fraction: float
 
     @property
@@ -321,7 +322,7 @@ def build_damping(grid: Grid, spec: DampingSpec) -> DampingProfile:
         sign = 1.0 if spec.kind == "gaussian_bump" else -1.0
         amp = sign * spec.amplitude
         s2 = spec.sigma * spec.sigma
-        r2 = sum(c * c for c in grid.coords)
+        r2 = _sum_sq(grid.dim, grid.axis)
         vals = amp * np.exp(-r2 / (2.0 * s2))
         slope = grid._mesh(-(grid.axis / s2))
         return DampingProfile(grid, vals, lambda j: slope[j] * vals)
@@ -337,7 +338,7 @@ def build_damping(grid: Grid, spec: DampingSpec) -> DampingProfile:
 
 def build_initial(grid: Grid, spec: InitialSpec, gs: Optional[GroundState]) -> ComplexField:
     if spec.kind == "gaussian":
-        r2 = sum(c * c for c in grid.coords)
+        r2 = _sum_sq(grid.dim, grid.axis)
         vals = spec.amplitude * np.exp(-r2 / (2.0 * spec.width * spec.width))
         return ComplexField(grid, vals.astype(np.complex128))
     if gs is None:
@@ -458,8 +459,9 @@ def _global_existence(report, rows, cfg, gs) -> Union[str, Verdict]:
     """Pointwise-positive damping with at-most-critical mass must stay global.
 
     Pass needs: no blow-up, horizon reached, peak gradient growth below
-    10², and strictly decreasing recorded mass. A resolution-guard stop is
-    inconclusive; a detected blow-up or broken monotonicity is a failure.
+    10², and recorded mass strictly decreasing while positive, then exactly
+    zero. A resolution-guard stop is inconclusive; a detected blow-up or
+    broken monotonicity is a failure.
     """
     if not cfg.damping.pointwise_positive:
         return "damping is not pointwise positive"
@@ -476,7 +478,8 @@ def _global_existence(report, rows, cfg, gs) -> Union[str, Verdict]:
     elif report.stop_reason is not StopReason.HORIZON_REACHED:
         status, notes = STATUS_INCONCLUSIVE, f"run stopped early: {report.stop_reason.value}"
     else:
-        monotone = bool(np.all(masses[1:] < masses[:-1]))
+        before, after = masses[:-1], masses[1:]
+        monotone = bool(np.all((after < before) | ((after == 0.0) & (before == 0.0))))
         if peak_ratio < bound and monotone:
             status, notes = STATUS_PASS, "horizon reached; mass strictly decreasing"
         else:
@@ -591,48 +594,40 @@ def _initial_outer_mass_fraction(u0: ComplexField) -> float:
     total = float(u2.sum())
     if total == 0.0:
         return 0.0
-    outer = u2[sum(c * c for c in g.coords) > (0.5 * g.half_width) ** 2]
+    outer = u2[_sum_sq(g.dim, g.axis) > (0.5 * g.half_width) ** 2]
     return float(outer.sum()) / total
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    gs: Optional[GroundState] = None,
-    write_outputs: bool = True,
-) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Load or solve the ground state; on its grid, the run's only one, build
     the damping and initial datum; evolve; attach checks.
 
-    Writes rows.csv, report.json, balance.json, and checks.json under
-    outputs/<scenario_id>/ unless write_outputs is False. An unresolved run
-    (tail guard before any steps) gets a report but no claim checks.
+    Caches the ground state in outputs/gs_cache and writes rows.csv,
+    report.json, balance.json, and checks.json under outputs/<scenario_id>/.
+    An unresolved run (tail guard before any steps) gets no claim checks.
     """
-    if gs is None:
-        cache = Path(cfg.outputs) / "gs_cache" if write_outputs else None
-        gs = ensure_ground_state(cfg.dim, cfg.n, cfg.box, cfg.gs_tol, cache_dir=cache)
-    elif gs.grid != Grid(cfg.dim, cfg.n, cfg.box):
-        raise ConfigurationError("supplied ground state does not match the scenario grid")
+    gs = ensure_ground_state(cfg.dim, cfg.n, cfg.box, cfg.gs_tol, cache_dir=Path(cfg.outputs) / "gs_cache")
     grid = gs.grid
     a = build_damping(grid, cfg.damping)
-    u0 = build_initial(grid, cfg.initial, gs)
-    outer_fraction = _initial_outer_mass_fraction(u0)
+    u0 = [build_initial(grid, cfg.initial, gs)]
+    outer_fraction = _initial_outer_mass_fraction(u0[0])
     recorder = TrajectoryRecorder(a, gs.grad_sq)
-    report = evolve(u0, a, cfg.sim, recorder, ref_grad_sq=gs.grad_sq)
+    # Handed over, not kept: evolve frees the datum after its first transform.
+    report = evolve(u0.pop(), a, cfg.sim, recorder, ref_grad_sq=gs.grad_sq)
     rows = recorder.rows
     balance = balance_report(rows, a) if len(rows) >= 2 else None
-    result = ScenarioResult(cfg, report, rows, balance, [], None, outer_fraction)
+    out_dir = Path(cfg.outputs) / cfg.scenario_id
+    result = ScenarioResult(cfg, report, rows, balance, [], out_dir, outer_fraction)
     if rows and not result.unresolved_at_start:
         checks = (check_claim(claim, report, rows, cfg, gs) for claim in CLAIMS)
         result.checks = [c for c in checks if c.status != STATUS_NOT_APPLICABLE]
 
-    if write_outputs:
-        out_dir = result.out_dir = Path(cfg.outputs) / cfg.scenario_id
-        _make_dir(out_dir)
-        _write_rows_csv(out_dir / "rows.csv", rows)
-        dump_json(_report_payload(result), out_dir / "report.json")
-        if balance is not None:
-            dump_json(asdict(balance), out_dir / "balance.json")
-        dump_json([asdict(c) for c in result.checks], out_dir / "checks.json")
+    _make_dir(out_dir)
+    _write_rows_csv(out_dir / "rows.csv", rows)
+    dump_json(_report_payload(result), out_dir / "report.json")
+    if balance is not None:
+        dump_json(asdict(balance), out_dir / "balance.json")
+    dump_json([asdict(c) for c in result.checks], out_dir / "checks.json")
     return result
 
 
@@ -662,7 +657,7 @@ def _report_payload(result: ScenarioResult) -> dict:
 
 # --- bundled catalog ---------------------------------------------------------
 
-def catalog(outputs: str = "outputs") -> List[ScenarioConfig]:
+def catalog() -> List[ScenarioConfig]:
     """The bundled claim-check runs, all one-dimensional at N=512, L=20."""
     base_sim = SimConfig(dt0=1e-3, t_end=20.0, adapt_const=1e-2, dt_min=1e-7,
                          tail_threshold=1e-4, record_every=5)
@@ -670,10 +665,8 @@ def catalog(outputs: str = "outputs") -> List[ScenarioConfig]:
     neg = DampingSpec(kind="negative_bump", amplitude=1.0, sigma=2.0)
 
     def cfg(sid: str, initial: InitialSpec, damping: DampingSpec, sim: SimConfig) -> ScenarioConfig:
-        return ScenarioConfig(
-            scenario_id=sid, dim=1, n=512, box=20.0,
-            initial=initial, damping=damping, sim=sim, outputs=outputs,
-        )
+        return ScenarioConfig(scenario_id=sid, dim=1, n=512, box=20.0,
+                              initial=initial, damping=damping, sim=sim)
 
     def scaled(lam: float) -> InitialSpec:
         return InitialSpec(kind="scaled_ground_state", scale=lam)
@@ -705,20 +698,15 @@ def parse_suite_config_text(text: str) -> Dict[str, object]:
     return parse_config_text(text, allowed=_SUITE_KEYS)
 
 
-def run_suite(
-    overrides: Optional[Dict[str, object]] = None,
-    outputs: Optional[str] = None,
-) -> Tuple[List[ScenarioResult], int]:
+def run_suite(overrides: Optional[Dict[str, object]] = None) -> Tuple[List[ScenarioResult], int]:
     """Run the bundled catalog and write a summary table.
 
     Returns the results and an exit status: 0 when every applicable check
     passed or was inconclusive, 1 when any check failed.
     """
-    overrides = dict(overrides or {})
-    if outputs is not None:
-        overrides["outputs"] = outputs
+    overrides = overrides or {}
     out_root = str(overrides.get("outputs", "outputs"))
-    configs = apply_suite_overrides(catalog(out_root), overrides)
+    configs = apply_suite_overrides(catalog(), overrides)
     # The disk cache is the ground state's only memo: of the entries on one
     # grid, the first solves it and the others read it back.
     results = [run_scenario(cfg) for cfg in configs]

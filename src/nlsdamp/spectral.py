@@ -101,7 +101,7 @@ class Grid:
         coords = self._mesh(axis)
         k_mesh = self._mesh(k_axis)
         weight = np.empty((2, *self.shape))
-        weight[0] = sum(k * k for k in k_mesh)
+        weight[0] = _sum_sq(self.dim, k_axis)
         weight[1] = _chebyshev(self, k_axis) > (2.0 / 3.0) * float(np.max(np.abs(k_axis)))
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "wavenumbers", k_axis)
@@ -138,6 +138,12 @@ class Grid:
 def _chebyshev(grid: Grid, values: np.ndarray) -> np.ndarray:
     """max_j |v_j| over the grid, for `values` v along each axis: one full array."""
     return functools.reduce(np.maximum, np.ix_(*(np.abs(values),) * grid.dim))
+
+
+def _sum_sq(dim: int, values: np.ndarray) -> np.ndarray:
+    """Σ_j v_j² over the dim-D grid, for `values` v along each axis, summed in
+    axis order from the 1-D squares: one full array."""
+    return sum(np.ix_(*(values * values,) * dim))
 
 
 @dataclass(eq=False)
@@ -285,18 +291,30 @@ class FieldNorms:
     lp_power: float
 
 
-def norms(field_: ComplexField) -> FieldNorms:
-    """Mass, gradient, and power integrals of a field.
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Σ x over the grid axes, one sum per snapshot of the block x."""
+    return x.reshape(x.shape[0], -1).sum(axis=1)
 
-    The gradient integral is evaluated in spectral space (Plancherel with
-    the |k|² multiplier); the other two use the rectangle rule in physical
-    space. Each is formed as a diagnostics row forms it, bit for bit.
+
+def _block_norms(grid: Grid, values: np.ndarray, spectra: np.ndarray):
+    """(|u|², |u|^(4/d+2), mass_sq, grad_sq, lp_power) of k fields and their
+    FFTs û, each (k, *grid.shape); the integrals are one per field.
+
+    ∫|∇u|² is Plancherel with the |k|² multiplier, the others the rectangle
+    rule. |û|² is freed before |u|^(4/d+2) is made, so a row's peak holds.
     """
-    g = field_.grid
-    vol = g.cell_volume
-    u2 = abs2(field_.values)
-    grad_sq = grid_dot(abs2(np.fft.fftn(field_.values)), g.k2) * vol / g.size
+    vol = grid.cell_volume
+    u2 = abs2(values)
+    grad_sq = grid_dot(abs2(spectra), grid.k2) * vol / grid.size
     # |u|^(4/d+2) = |u|^(4/d)·|u|².
-    absp = critical_power(u2.copy(), g.dim)
+    absp = critical_power(u2.copy(), grid.dim)
     absp *= u2
-    return FieldNorms(float(u2.sum() * vol), float(grad_sq), float(absp.sum() * vol))
+    return u2, absp, _sum(u2) * vol, grad_sq, _sum(absp) * vol
+
+
+def norms(field_: ComplexField) -> FieldNorms:
+    """Mass, gradient, and power integrals of a field: a diagnostics row's, bit
+    for bit, as both are formed by `_block_norms`, here on a block of one."""
+    u = field_.values
+    _, _, *integrals = _block_norms(field_.grid, u[None], np.fft.fftn(u)[None])
+    return FieldNorms(*(float(x[0]) for x in integrals))

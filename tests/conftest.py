@@ -25,7 +25,7 @@ def gs_2d():
 def catalog_results(tmp_path_factory):
     """One full run of the bundled catalog, shared by every test that reads it."""
     out = tmp_path_factory.mktemp("catalog")
-    results, status = run_suite(outputs=str(out))
+    results, status = run_suite({"outputs": str(out)})
     return {
         "results": results,
         "status": status,

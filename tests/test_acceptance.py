@@ -119,7 +119,7 @@ def test_criterion_3_soliton_accuracy_and_order(gs_1d):
     assert TOL["slope_lo"] <= slope <= TOL["slope_hi"]
 
 
-def _shrink_ratios(gs):
+def _shrink_ratios(out):
     def residuals(dt0):
         cfg = ScenarioConfig(
             scenario_id="shrink",
@@ -129,8 +129,9 @@ def _shrink_ratios(gs):
             initial=InitialSpec("scaled_ground_state", scale=0.9),
             damping=DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0),
             sim=SimConfig(dt0=dt0, t_end=0.05, record_every=1),
+            outputs=str(out),
         )
-        res = run_scenario(cfg, gs=gs, write_outputs=False)
+        res = run_scenario(cfg)
         return res.balance.mass_residual, res.balance.energy_residual
 
     coarse = residuals(1e-3)
@@ -138,7 +139,7 @@ def _shrink_ratios(gs):
     return [c / f for c, f in zip(coarse, fine)]
 
 
-def test_criterion_4_balance_laws(catalog_results, gs_1d):
+def test_criterion_4_balance_laws(catalog_results, tmp_path):
     by_id = catalog_results["by_id"]
     worst = {"mass": 0.0, "energy": 0.0, "momentum": 0.0}
     for sid in SMOOTH_IDS:
@@ -162,7 +163,7 @@ def test_criterion_4_balance_laws(catalog_results, gs_1d):
         abs(m - m0 * math.exp(-t_i)) / m0 for t_i, m in zip(t, mass)
     )
 
-    ratios = _shrink_ratios(gs_1d)
+    ratios = _shrink_ratios(tmp_path)
     print(
         f"criterion 4: residuals mass={worst['mass']:.3e} "
         f"energy={worst['energy']:.3e} momentum={worst['momentum']:.3e} "

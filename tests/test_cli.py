@@ -48,6 +48,28 @@ def test_evolve_command_runs_and_writes(tmp_path, capsys):
     assert [c["claim"] for c in checks] == ["global_existence"]
 
 
+@pytest.mark.parametrize("damping", [("gaussian_bump", "80"), ("constant", "100")])
+def test_evolve_strong_damping_over_a_long_horizon(tmp_path, capsys, damping):
+    # ‖a‖∞·t reaches 800 and 1000: the envelope's upper bound e^(‖a‖∞ t)
+    # overflows a float and holds as +∞. Under constant damping the mass
+    # underflows to exactly 0.0 and stays there, which is still decreasing.
+    kind, amplitude = damping
+    text = EVOLVE_CONFIG.format(out=tmp_path / "out")
+    text = text.replace("damping = gaussian_bump", f"damping = {kind}")
+    text = text.replace("damping_amplitude = 1.0", f"damping_amplitude = {amplitude}")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text.replace("t_end = 0.05", "t_end = 10"))
+    code = main(["evolve", "--config", str(cfg_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "stop reason  horizon_reached" in out
+    assert "envelope ok      true" in out
+    assert "check global_existence: pass" in out
+    masses = np.loadtxt(tmp_path / "out" / "cli_demo" / "rows.csv", delimiter=",",
+                        skiprows=1, usecols=1)
+    assert (masses[-1] == 0.0) == (kind == "constant")
+
+
 def test_evolve_unresolved_initial_data_is_exit_2(tmp_path, capsys):
     # A Gaussian of width 0.05 on a 1-D N = 512 grid of box 20 trips the
     # tail guard before the first step.

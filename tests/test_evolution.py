@@ -275,14 +275,14 @@ def test_evolve_collapse_detection(gs_1d):
     assert not report.boundary_mass_flag
 
 
-def test_dt_floor_stops_collapse_as_blowup(gs_1d):
+def test_dt_floor_stops_collapse_as_blowup(tmp_path):
     # collapse_free_1p2 with a floor the step rule crosses before the tail
     # guard trips (at t ≈ 0.2685 with the catalog's floor): the run stops at
     # the first state whose rule step adapt_const/‖∇u‖² is below dt_min, and
     # the growth of ‖∇u‖² classifies the stop as blow-up.
     cfg = next(c for c in catalog() if c.scenario_id == "collapse_free_1p2")
-    cfg = replace(cfg, sim=replace(cfg.sim, dt_min=9.9e-4))
-    result = run_scenario(cfg, gs=gs_1d, write_outputs=False)
+    cfg = replace(cfg, sim=replace(cfg.sim, dt_min=9.9e-4), outputs=str(tmp_path))
+    result = run_scenario(cfg)
     report, rows = result.report, result.rows
     assert report.stop_reason is StopReason.GRADIENT_THRESHOLD
     assert report.blew_up

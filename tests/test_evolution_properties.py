@@ -1,5 +1,6 @@
-"""Property checks: evolve's merged half phases against unmerged Strang steps, and
-the in-place stepping never writes into the caller's arrays."""
+"""Property checks: evolve's merged half phases against unmerged Strang steps,
+the in-place stepping never writes into the caller's arrays, and the sink sees
+each recorded step once."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -80,3 +81,43 @@ def test_stepping_leaves_caller_data_untouched(seed, dim, damping, steps):
     nxt = strang_step(state, a, dt)
     assert np.array_equal(state.spectrum, spectrum)
     assert not np.shares_memory(nxt.spectrum, state.spectrum)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    record_every=st.integers(1, 8),
+    steps=st.integers(1, 40),
+    poison=st.integers(0, 40),
+)
+def test_sink_sees_each_recorded_step_once(record_every, steps, poison):
+    # Steps 0, every multiple of record_every, and the stop, each once, in
+    # order. A NaN written into the lent spectrum at one call makes the next
+    # state non-finite: that stop is not emitted, so nothing follows the call.
+    g = Grid(1, 32, 8.0)
+    u0 = ComplexField(g, random_smooth_field(g, np.random.default_rng(5)).values)
+    a = DampingProfile.zero(g)
+    dt = 1e-3
+    cfg = SimConfig(dt0=dt, t_end=steps * dt, adapt_const=1e30, dt_min=1e-9,
+                    tail_threshold=0.999, record_every=record_every)
+
+    def run(poison_call=None):
+        seen = []
+
+        def sink(state, dt_used, tail):
+            if len(seen) == poison_call:
+                state.spectrum[0] = np.nan
+            seen.append((state.step_count, state.time))
+
+        return evolve(u0, a, cfg, sink=sink), seen
+
+    report, seen = run()
+    assert report.stop_reason is StopReason.HORIZON_REACHED
+    assert seen[-1] == (steps, report.t_detect)
+    want = [s for s in range(steps + 1) if s % record_every == 0 or s == steps]
+    assert [s for s, _ in seen] == want
+
+    call = poison % len(want)
+    if call < len(want) - 1:
+        report, poisoned = run(call)
+        assert report.stop_reason is StopReason.NONFINITE
+        assert poisoned == seen[: call + 1]

@@ -1,6 +1,8 @@
-"""Every name a module lists in `__all__` resolves, so a retired name cannot linger there."""
+"""Every name a module lists in `__all__` resolves, so a retired name cannot linger
+there, and retired names and parameters stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -23,6 +25,17 @@ RETIRED = [
 ]
 
 
+# Parameters that only tests passed: a supplied ground state and a no-write
+# run (tests write under tmp_path, and the disk cache is the only memo), and
+# an outputs root that the suite's `outputs` key already sets.
+RETIRED_PARAMETERS = [
+    ("nlsdamp.scenarios", "run_scenario", "gs"),
+    ("nlsdamp.scenarios", "run_scenario", "write_outputs"),
+    ("nlsdamp.scenarios", "run_suite", "outputs"),
+    ("nlsdamp.scenarios", "catalog", "outputs"),
+]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
@@ -35,3 +48,9 @@ def test_all_names_resolve(module):
 def test_retired_names_are_gone(module):
     mod = importlib.import_module(module)
     assert [name for name in RETIRED if hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module, function, parameter", RETIRED_PARAMETERS)
+def test_retired_parameters_are_gone(module, function, parameter):
+    fn = getattr(importlib.import_module(module), function)
+    assert parameter not in inspect.signature(fn).parameters

@@ -106,10 +106,13 @@ def loop_envelope(rows, a):
     worst = math.inf
     for r in rows:
         val = math.sqrt(r["mass_sq"])
-        upper = u0 * math.exp(a.sup_norm * r["t"]) + eps
+        try:
+            upper = u0 * math.exp(a.sup_norm * r["t"]) + eps
+        except OverflowError:
+            upper = math.inf  # an upper bound past the largest float holds
         lower = u0 * math.exp(-a.sup_norm * r["t"]) - eps
         margins = (upper - val, val - lower)
-        if not all(map(math.isfinite, margins)):
+        if math.isinf(val) or math.isnan(val) or math.isnan(margins[0]) or math.isnan(margins[1]):
             return EnvelopeCheck(ok=False, worst=math.nan)
         worst = min(worst, *margins)
     return EnvelopeCheck(ok=worst >= 0.0, worst=worst)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from nlsdamp import (
     run_scenario,
     run_suite,
 )
-from nlsdamp.diagnostics import csv_header
+from nlsdamp import scenarios
+from nlsdamp.diagnostics import TrajectoryRecorder, csv_header
 from nlsdamp.scenarios import (
     CLAIMS,
     STATUS_FAIL,
@@ -337,12 +339,12 @@ def test_warm_suite_writes_what_the_cold_one_wrote(tmp_path):
         paths = sorted(p for p in tmp_path.rglob("*") if p.suffix in (".csv", ".json"))
         return {p.relative_to(tmp_path): p.read_bytes() for p in paths}
 
-    run_suite({"t_end": 0.5}, outputs=str(tmp_path))
+    run_suite({"t_end": 0.5, "outputs": str(tmp_path)})
     cold = files()
     # Every entry of the second run is a cache hit.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_suite({"t_end": 0.5}, outputs=str(tmp_path))
+        run_suite({"t_end": 0.5, "outputs": str(tmp_path)})
     assert len(cold) == 8 * 4 + 1
     assert files() == cold
 
@@ -459,6 +461,15 @@ def test_check_global_existence_gating(gs_1d):
     assert broken.status == STATUS_FAIL
     assert "not strictly decreasing" in broken.notes
 
+    # A mass that underflows to zero may stay there; a flat or rising step fails.
+    t4 = [0.0, 1.0, 2.0, 3.0]
+    for masses, status in (([1.0, 0.5, 0.0, 0.0], STATUS_PASS),
+                           ([1.0, 1.0, 0.5], STATUS_FAIL),
+                           ([1.0, 0.0, 0.5], STATUS_FAIL)):
+        table = row_table(t=t4[:len(masses)], mass_sq=masses, grad_sq=[1.0] * len(masses))
+        check = check_claim("global_existence", _report(peak_grad_sq=2.0), table, cfg, gs_1d)
+        assert check.status == status, masses
+
 
 def test_check_blowup_time_bound_gating(gs_1d):
     neg = DampingSpec("negative_bump", amplitude=1.0, sigma=2.0)
@@ -561,15 +572,14 @@ def test_check_concentration_gating(gs_1d):
 
 # --- scenario runner ---------------------------------------------------------
 
-def test_run_scenario_writes_outputs(tmp_path, gs_1d):
+def test_run_scenario_writes_outputs(tmp_path):
     cfg = replace(
         _cfg(DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0),
              outputs=str(tmp_path / "a")),
         sim=SimConfig(dt0=1e-3, t_end=0.05, record_every=5),
     )
-    result = run_scenario(cfg, gs=gs_1d)
+    result = run_scenario(cfg)
     out = result.out_dir
-    assert out is not None
     rows_text = (out / "rows.csv").read_text().splitlines()
     assert rows_text[0] == csv_header(1)
     assert len(rows_text) == 1 + len(result.rows)
@@ -582,69 +592,87 @@ def test_run_scenario_writes_outputs(tmp_path, gs_1d):
     assert 0.0 < result.initial_outer_mass_fraction < TOL["outer_fraction"]
 
 
-def test_run_scenario_deterministic_bytes(tmp_path, gs_1d):
+def test_run_scenario_deterministic_bytes(tmp_path):
     def run(tag):
         cfg = replace(
             _cfg(DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0),
                  outputs=str(tmp_path / tag)),
             sim=SimConfig(dt0=1e-3, t_end=0.05, record_every=5),
         )
-        res = run_scenario(cfg, gs=gs_1d)
+        res = run_scenario(cfg)
         return (res.out_dir / "rows.csv").read_bytes()
 
     assert run("x") == run("y")
 
 
-def test_run_scenario_unresolved_at_start(gs_1d):
+def test_run_scenario_unresolved_at_start(tmp_path):
     cfg = _cfg(
         DampingSpec("zero"),
         initial=InitialSpec("gaussian", amplitude=1.0, width=0.05),
+        outputs=str(tmp_path),
     )
-    result = run_scenario(cfg, gs=gs_1d, write_outputs=False)
+    result = run_scenario(cfg)
     assert result.report.stop_reason is StopReason.TAIL_UNRESOLVED
     assert not result.report.blew_up
     assert len(result.rows) == 1
     assert result.checks == []
     assert result.balance is None
-    assert result.out_dir is None
+    assert result.out_dir == tmp_path / "synthetic"
 
 
-def test_run_scenario_boundary_flag(gs_1d):
+def test_run_scenario_boundary_flag(tmp_path):
     cfg = replace(
         _cfg(DampingSpec("zero"),
-             initial=InitialSpec("gaussian", amplitude=1.0, width=6.0)),
+             initial=InitialSpec("gaussian", amplitude=1.0, width=6.0), outputs=str(tmp_path)),
         sim=SimConfig(dt0=1e-3, t_end=3e-3, record_every=1),
     )
-    result = run_scenario(cfg, gs=gs_1d, write_outputs=False)
+    result = run_scenario(cfg)
     assert result.report.boundary_mass_flag
     assert result.report.stop_reason is StopReason.HORIZON_REACHED
 
 
-def test_run_scenario_rejects_mismatched_ground_state(gs_1d):
-    cfg = ScenarioConfig(
-        scenario_id="mismatch", dim=1, n=256, box=20.0,
-        initial=InitialSpec("scaled_ground_state"), damping=DampingSpec("zero"),
-        sim=SimConfig(),
+def test_run_scenario_frees_the_initial_datum(tmp_path, monkeypatch):
+    # evolve reads u0 once, into its own spectrum; no caller keeps it, so the
+    # field and its array are both gone by the first row.
+    refs, dead = [], []
+
+    def build(*args):
+        u0 = build_initial(*args)
+        refs.extend([weakref.ref(u0), weakref.ref(u0.values)])
+        return u0
+
+    class Recorder(TrajectoryRecorder):
+        def __call__(self, *args):
+            if not dead:
+                dead.append(tuple(ref() is None for ref in refs))
+            super().__call__(*args)
+
+    monkeypatch.setattr(scenarios, "build_initial", build)
+    monkeypatch.setattr(scenarios, "TrajectoryRecorder", Recorder)
+    cfg = replace(
+        _cfg(DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0), outputs=str(tmp_path)),
+        sim=SimConfig(dt0=1e-3, t_end=0.01, record_every=5),
     )
-    with pytest.raises(ConfigurationError):
-        run_scenario(cfg, gs=gs_1d, write_outputs=False)
+    assert len(run_scenario(cfg).rows) == 3
+    assert dead == [(True, True)]
 
 
-def test_cold_run_holds_each_grid_array_once():
+def test_cold_run_holds_each_grid_array_once(tmp_path):
     # A cold 32³ run makes one grid, the ground state's, builds the damping
     # after the solve and no gradient array, and sums |k|² from the grid's
-    # norm weight: its traced peak is 10.1 to 10.9 complex grid arrays, as
-    # numpy has more or less of its own state cached. Two grids, the damping
-    # built first, a stacked copy of |k|² and three stored gradients made it
-    # 12.6 to 13.4.
+    # norm weight, and frees the initial datum after its first transform: its
+    # traced peak is 9.6 to 10.0 complex grid arrays, as numpy has more or
+    # less of its own state cached. Holding the datum for the whole run made
+    # it 10.1 to 10.9; two grids, the damping built first, a stacked copy of
+    # |k|² and three stored gradients made it 12.6 to 13.4.
     cfg = ScenarioConfig(
         scenario_id="cold", dim=3, n=32, box=6.0,
         initial=InitialSpec("scaled_ground_state", scale=0.9),
         damping=DampingSpec("gaussian_bump", amplitude=1.0, sigma=2.0),
-        sim=SimConfig(t_end=0.01, record_every=20),
+        sim=SimConfig(t_end=0.01, record_every=20), outputs=str(tmp_path),
     )
     results = []
-    peak = traced_peak(lambda: results.append(run_scenario(cfg, write_outputs=False)))
+    peak = traced_peak(lambda: results.append(run_scenario(cfg)))
     print(f"cold run peak {peak / (16 * 32**3):.2f} complex grid arrays")
     assert results[0].report.stop_reason is StopReason.HORIZON_REACHED
     assert len(results[0].rows) == 5
