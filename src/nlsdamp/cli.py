@@ -142,8 +142,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         overrides = parse_suite_config_text(read_config_text(args.config))
     results, status = run_suite(overrides)
     print(summary_table(results))
-    out_root = str(overrides.get("outputs", "outputs"))
-    print(f"summary written to {Path(out_root) / 'summary.csv'}")
+    print(f"summary written to {Path(results[0].config.outputs) / 'summary.csv'}")
     return status
 
 

@@ -7,7 +7,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .spectral import ComplexField, DampingProfile, Grid, _block_norms, _sum, _s
 
 __all__ = [
     "block_size",
-    "SnapshotBlock",
     "compute_row",
     "TrajectoryRecorder",
     "RowTable",
@@ -24,7 +23,6 @@ __all__ = [
     "mass_balance_residual",
     "energy_balance_residual",
     "momentum_balance_residual",
-    "EnvelopeCheck",
     "mass_envelope_check",
     "BalanceReport",
     "balance_report",
@@ -68,20 +66,6 @@ def block_size(grid: Grid) -> int:
     return max(1, min(BLOCK_SNAPSHOTS, BLOCK_BYTES // (16 * grid.size)))
 
 
-@dataclass(frozen=True)
-class SnapshotBlock:
-    """k snapshots on one grid, along a leading axis: the inputs of k rows.
-
-    `meta` is (k, 3), holding t, dt_used and tail_fraction of each snapshot;
-    `values` and `spectra` are (k, *grid.shape), each field and its FFT û.
-    """
-
-    grid: Grid
-    meta: np.ndarray
-    values: np.ndarray
-    spectra: np.ndarray
-
-
 def _ifft_block(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Inverse FFT over the grid axes of each snapshot of the block x, into out.
 
@@ -95,9 +79,13 @@ def _check_reference(ref_grad_sq: float) -> None:
         raise ValueError("reference gradient integral must be positive")
 
 
-def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> np.ndarray:
-    """Evaluate every diagnostic at each snapshot of a block of k.
+def compute_row(
+    meta: np.ndarray, values: np.ndarray, spectra: np.ndarray, a: DampingProfile, ref_grad_sq: float
+) -> np.ndarray:
+    """Evaluate every diagnostic at each snapshot of a block of k on `a.grid`.
 
+    `meta` is (k, 3), holding t, dt_used and tail_fraction of each snapshot;
+    `values` and `spectra` are (k, *grid.shape), each field and its FFT û.
     Returns the rows as a (k, width) float64 array in rows.csv column order
     (a transposed view of the column table). Every sum runs over the grid
     axes of the whole block at once. `ref_grad_sq` is the reference gradient
@@ -111,11 +99,10 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> 
     rows alone, without re-simulation.
     """
     _check_reference(ref_grad_sq)
-    g = block.grid
+    g = a.grid
     d = g.dim
     vol = g.cell_volume
-    vals, u_hat = block.values, block.spectra
-    u2, absp, mass_sq, grad_sq, lp_power = _block_norms(g, vals, u_hat)
+    u2, absp, mass_sq, grad_sq, lp_power = _block_norms(g, values, spectra)
     int_a_u2 = grid_dot(u2, a.values) * vol
     int_a_lp = grid_dot(absp, a.values) * vol
     del absp
@@ -129,23 +116,23 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> 
     # place, then overwritten by the flux conj(∂_j u)·u, whose real part is
     # that of (∂_j u)·ū and whose imaginary part is exactly its negative.
     # ∂_j a is read one component at a time, as the profile may form it.
-    flux = np.empty_like(u_hat)
+    flux = np.empty_like(spectra)
     for j, k in enumerate(g.k_mesh):
-        np.multiply(k, u_hat, out=flux)
+        np.multiply(k, spectra, out=flux)
         flux *= 1j
         _ifft_block(flux, flux)  # ∂_j u
         a_grad2 += grid_dot(abs2(flux), a.values)
         np.conjugate(flux, out=flux)
-        flux *= vals
+        flux *= values
         # 0.0 - x, not -x: a zero integral is +0.0, the sign (∂_j u)ū gives.
         momentum.append(0.0 - _sum(flux.imag) * vol)
         int_a_im_grad.append(0.0 - grid_dot(flux.imag, a.values) * vol)
-        re_grad_a += grid_dot(flux.real, a.gradient_values[j])
+        re_grad_a += grid_dot(flux.real, a.gradient(j))
     del flux
     int_a_grad2 = a_grad2 * vol
     re_grad_a_term = re_grad_a * vol
     columns = {
-        "t": block.meta[:, 0],
+        "t": meta[:, 0],
         "mass_sq": mass_sq,
         "energy": energy,
         "p": momentum,
@@ -157,8 +144,8 @@ def compute_row(block: SnapshotBlock, a: DampingProfile, ref_grad_sq: float) -> 
         "int_a_lp": int_a_lp,
         "re_grad_a_term": re_grad_a_term,
         "int_a_im_grad": int_a_im_grad,
-        "dt_used": block.meta[:, 1],
-        "tail_fraction": block.meta[:, 2],
+        "dt_used": meta[:, 1],
+        "tail_fraction": meta[:, 2],
         "conc_mass": conc,
         "window_w": window_radius,
     }
@@ -219,39 +206,39 @@ class TrajectoryRecorder:
         g = a.grid
         self._rows = RowTable(g.dim)
         size = block_size(g)
-        self._block: Optional[SnapshotBlock] = None
+        # t, dt_used and tail_fraction, the fields and their spectra of the
+        # snapshots waiting; none for blocks of one.
         if size > 1:
             shape = (size, *g.shape)
-            self._block = SnapshotBlock(
-                g, np.empty((size, 3)), np.empty(shape, complex), np.empty(shape, complex)
-            )
+            self._meta = np.empty((size, 3))
+            self._values, self._spectra = np.empty(shape, complex), np.empty(shape, complex)
+        self._size = size
         self._fill = 0
 
-    def __call__(self, state: EvolutionState, dt_used: float, tail_fraction: float) -> None:
-        block = self._block
-        if block is None:
+    def __call__(self, state: EvolutionState) -> None:
+        meta = (state.time, state.dt_used, state.tail_fraction)
+        if self._size == 1:
             u_hat = state.spectrum[None]
-            meta = np.array([[state.time, dt_used, tail_fraction]])
             # One new array: without out=, ifftn allocates one per axis.
             values = _ifft_block(u_hat, np.empty_like(u_hat))
-            one = SnapshotBlock(self.a.grid, meta, values, u_hat)
-            self._rows.append_block(compute_row(one, self.a, self.ref_grad_sq))
+            rows = compute_row(np.array([meta]), values, u_hat, self.a, self.ref_grad_sq)
+            self._rows.append_block(rows)
             return
         i = self._fill
-        block.meta[i] = state.time, dt_used, tail_fraction
-        block.spectra[i] = state.spectrum
+        self._meta[i] = meta
+        self._spectra[i] = state.spectrum
         self._fill = i + 1
-        if self._fill == len(block.meta):
+        if self._fill == self._size:
             self._flush()
 
     def _flush(self) -> None:
-        k, block = self._fill, self._block
+        k = self._fill
         if k == 0:
             return
-        if k < len(block.meta):
-            block = SnapshotBlock(block.grid, block.meta[:k], block.values[:k], block.spectra[:k])
-        _ifft_block(block.spectra, block.values)
-        self._rows.append_block(compute_row(block, self.a, self.ref_grad_sq))
+        values, spectra = self._values[:k], self._spectra[:k]
+        _ifft_block(spectra, values)
+        rows = compute_row(self._meta[:k], values, spectra, self.a, self.ref_grad_sq)
+        self._rows.append_block(rows)
         self._fill = 0
 
     @property
@@ -379,21 +366,14 @@ def momentum_balance_residual(table: RowTable) -> float:
     return _worst_defect(np.concatenate(defects), scale)
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
-    """Result of the two-sided mass envelope test; worst is the smallest margin."""
-
-    ok: bool
-    worst: float
-
-
-def mass_envelope_check(table: RowTable, a: DampingProfile) -> EnvelopeCheck:
-    """Check ‖u₀‖e^(-‖a‖∞ t) <= ‖u(t)‖ <= ‖u₀‖e^(+‖a‖∞ t) on every row.
+def mass_envelope_check(table: RowTable, a: DampingProfile) -> float:
+    """The worst margin of ‖u₀‖e^(-‖a‖∞ t) <= ‖u(t)‖ <= ‖u₀‖e^(+‖a‖∞ t) over
+    every row: the envelope holds when it is >= 0.
 
     Margins carry an absolute slack of 1e-8·‖u₀‖ against round-off. An upper
     bound that overflows is +∞, and holds. A non-finite mass or a NaN margin
-    fails the check, with worst = NaN. Reads the t and mass_sq columns as
-    Python floats: math.exp, not np.exp, whose last bit can differ.
+    gives NaN, which fails. Reads the t and mass_sq columns as Python
+    floats: math.exp, not np.exp, whose last bit can differ.
     """
     if not len(table):
         raise ValueError("need at least one diagnostics row")
@@ -410,9 +390,9 @@ def mass_envelope_check(table: RowTable, a: DampingProfile) -> EnvelopeCheck:
         lower = u0 * math.exp(-a.sup_norm * t) - eps
         margins = (upper - val, val - lower)
         if not math.isfinite(val) or any(map(math.isnan, margins)):
-            return EnvelopeCheck(ok=False, worst=math.nan)
+            return math.nan
         worst = min(worst, *margins)
-    return EnvelopeCheck(ok=worst >= 0.0, worst=worst)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -432,14 +412,14 @@ def balance_report(
     fields=None,  # unused: kept only so the benchmark's stored-field probe still attaches
 ) -> BalanceReport:
     """The three balance residuals and the mass envelope, from the rows alone."""
-    env = mass_envelope_check(table, a)
+    worst = mass_envelope_check(table, a)
     return BalanceReport(
         mass_residual=mass_balance_residual(table),
         energy_residual=energy_balance_residual(table),
         momentum_residual=momentum_balance_residual(table),
-        envelope_ok=env.ok,
+        envelope_ok=worst >= 0.0,
         # NaN when the envelope check met a non-finite margin.
-        max_envelope_violation=0.0 if env.worst >= 0.0 else -env.worst,
+        max_envelope_violation=0.0 if worst >= 0.0 else -worst,
     )
 
 

@@ -83,7 +83,8 @@ class SimConfig:
 
 @dataclass
 class EvolutionState:
-    """Current time, spectrum, and accepted-step count.
+    """Current time, spectrum, accepted-step count, the last step's dt and
+    the spectrum's tail fraction: one snapshot, as the sink receives it.
 
     `spectrum` is the FFT û of the field: u = IFFT(û) on the grid's shape.
     `evolve` lends the spectrum it steps: it is valid only during the sink
@@ -96,6 +97,8 @@ class EvolutionState:
     time: float
     spectrum: np.ndarray
     step_count: int = 0
+    dt_used: float = 0.0
+    tail_fraction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ class BlowupReport:
     boundary_mass_flag: bool = False
 
 
-Sink = Callable[[EvolutionState, float, float], None]
+Sink = Callable[[EvolutionState], None]
 
 
 class _StrangKernel:
@@ -264,11 +267,10 @@ def evolve(
     Stop conditions, in priority order: non-finite state values; spectral
     tail fraction (mass in the outer third of wavenumbers over total) above
     cfg.tail_threshold; the step rule's dt below cfg.dt_min; t >= t_end.
-    The sink, when given, receives a snapshot (state, dt_used,
-    tail_fraction) at t = 0, every cfg.record_every accepted steps, and at
-    the stop, each step once; a non-finite stop gives none. The snapshot is
-    the stepped û, with its owed half phase applied, lent for the call (see
-    EvolutionState).
+    The sink, when given, receives a snapshot, one EvolutionState, at t = 0,
+    every cfg.record_every accepted steps, and at the stop, each step once;
+    a non-finite stop gives none. Its spectrum is the stepped û, with its
+    owed half phase applied, lent for the call (see EvolutionState).
 
     The state carried from step to step is the spectrum û, and adjacent
     half phases are merged, so a step costs one inverse and one forward FFT.
@@ -330,7 +332,7 @@ def evolve(
         if sink is not None and (stop is not None or steps % cfg.record_every == 0):
             kernel.phase(u_hat, owed)
             owed = 0.0
-            sink(EvolutionState(t, u_hat, steps), last_dt, tail)
+            sink(EvolutionState(t, u_hat, steps, last_dt, tail))
         if stop is not None:
             break
         dt = min(dt, cfg.t_end - t)

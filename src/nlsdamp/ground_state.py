@@ -30,6 +30,9 @@ __all__ = [
 # A 2×2 Gram system whose determinant is below this fraction of the product
 # of its diagonal is treated as singular.
 ANDERSON_SINGULAR = 1e-12
+# A profile with ‖∇Q‖² at most this fraction of ‖Q‖₂² is flat: on a box too
+# small to hold Q the iteration settles on the constant Q ≡ 1.
+FLAT_PROFILE_RATIO = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -43,7 +46,9 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class GroundState:
     """A converged profile and its final PDE residual; the integrals are
-    the profile's own, formed from it on construction."""
+    the profile's own, formed from it on construction. A flat profile (see
+    FLAT_PROFILE_RATIO), solved or read from the cache, is a
+    ConfigurationError: its box is too small."""
 
     grid: Grid
     profile: np.ndarray
@@ -57,6 +62,11 @@ class GroundState:
         object.__setattr__(self, "mass_sq", nm.mass_sq)
         object.__setattr__(self, "grad_sq", nm.grad_sq)
         object.__setattr__(self, "lp_power", nm.lp_power)
+        if not nm.grad_sq > FLAT_PROFILE_RATIO * nm.mass_sq:
+            raise ConfigurationError(
+                f"box half_width {self.grid.half_width} is too small to hold the ground "
+                f"state: the profile is flat (grad_sq {nm.grad_sq:.3g}, mass_sq {nm.mass_sq:.3g})"
+            )
 
     @property
     def energy(self) -> float:
@@ -234,8 +244,6 @@ def pohozaev_residuals(gs: GroundState) -> PohozaevResiduals:
     gradient_res checks ∫|Q|^(4/d+2) = (d+2)/d ∫|∇Q|².
     """
     d = gs.grid.dim
-    if not gs.grad_sq > 0:
-        raise ValueError("gradient integral must be positive")
     energy_res = abs(gs.energy) / gs.grad_sq
     gradient_res = abs(gs.lp_power - (d + 2.0) / d * gs.grad_sq) / gs.grad_sq
     return PohozaevResiduals(energy_res, gradient_res)

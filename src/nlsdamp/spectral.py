@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 from numpy._core.multiarray import c_einsum
@@ -86,15 +86,19 @@ class Grid:
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ConfigurationError(f"half_width must be positive, got {self.half_width}")
         # Squared distances reach d·L² and cell volumes (2L/n)^d: both stay
-        # below (2L)^max(2, d), which must be finite.
+        # below (2L)^max(2, d), which must be finite. |k|² reaches d·(π/h)²
+        # for the spacing h, which must be finite too, and the volume positive.
         power = max(2, self.dim)
-        try:
-            extent = (2.0 * self.half_width) ** power
-        except OverflowError:
-            extent = math.inf
-        if not math.isfinite(extent):
+        if not math.isfinite(_power(2.0 * self.half_width, power)):
             raise ConfigurationError(
                 f"half_width {self.half_width} is too large: (2*half_width)**{power} overflows"
+            )
+        h = self.spacing
+        k2_max = self.dim * _power(math.pi / h, 2) if self.cell_volume > 0.0 else math.inf
+        if not math.isfinite(k2_max):
+            raise ConfigurationError(
+                f"half_width {self.half_width} is too small: the cell volume "
+                "(2*half_width/n)**dim underflows or max |k|**2 overflows"
             )
         axis = -self.half_width + self.spacing * np.arange(n)
         k_axis = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
@@ -135,6 +139,14 @@ class Grid:
         return self.spacing**self.dim
 
 
+def _power(x: float, p: int) -> float:
+    """x**p as a Python float, +inf where it overflows."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def _chebyshev(grid: Grid, values: np.ndarray) -> np.ndarray:
     """max_j |v_j| over the grid, for `values` v along each axis: one full array."""
     return functools.reduce(np.maximum, np.ix_(*(np.abs(values),) * grid.dim))
@@ -162,51 +174,27 @@ class ComplexField:
         self.values = arr
 
 
-class _Formed:
-    """d gradient components; component j is formed by form(j) on each read."""
-
-    def __init__(self, dim: int, form: Callable[[int], np.ndarray]):
-        self._dim, self._form = dim, form
-
-    def __len__(self) -> int:
-        return self._dim
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self._form(range(self._dim)[j])
-
-
 @dataclass(frozen=True, eq=False)
 class DampingProfile:
     """Samples of a real coefficient a(x) together with its gradient.
 
     The gradient is supplied in closed form alongside a(x) so that no
     numerical differentiation enters the flux terms; consistency with
-    spectral differentiation is checked by the test suite. It is d arrays,
-    or a function of j forming ∂_j a: then `gradient_values[j]` forms it per
-    call and no gradient is held. A component that vanishes is a read-only
-    `_zero_view`, not a full-grid array.
+    spectral differentiation is checked by the test suite. `gradient(j)`
+    returns ∂_j a on the grid, stored or formed per call; a component that
+    vanishes is a read-only `_zero_view`, not a full-grid array.
     """
 
     grid: Grid
     values: np.ndarray
-    gradient_values: Union[Tuple[np.ndarray, ...], Callable[[int], np.ndarray]]
+    gradient: Callable[[int], np.ndarray]
     sup_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != self.grid.shape:
             raise ValueError("damping samples do not match the grid shape")
-        grads = self.gradient_values
-        if callable(grads):
-            grads = _Formed(self.grid.dim, grads)
-        else:
-            grads = tuple(np.asarray(g, dtype=np.float64) for g in grads)
-            if len(grads) != self.grid.dim:
-                raise ValueError(f"expected {self.grid.dim} gradient components, got {len(grads)}")
-            if any(g.shape != self.grid.shape for g in grads):
-                raise ValueError("gradient samples do not match the grid shape")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "gradient_values", grads)
         object.__setattr__(self, "sup_norm", float(np.max(np.abs(vals))))
 
     @functools.cached_property
@@ -234,8 +222,7 @@ class DampingProfile:
 
     @classmethod
     def constant(cls, grid: Grid, amplitude: float) -> "DampingProfile":
-        vals = np.full(grid.shape, float(amplitude))
-        return cls(grid, vals, (_zero_view(grid),) * grid.dim)
+        return cls(grid, np.full(grid.shape, float(amplitude)), lambda j: _zero_view(grid))
 
 
 def _zero_view(grid: Grid) -> np.ndarray:

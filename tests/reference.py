@@ -15,7 +15,6 @@ from nlsdamp import (
     compute_row,
     concentration_mass,
 )
-from nlsdamp.diagnostics import SnapshotBlock
 from nlsdamp.evolution import _StrangKernel
 from nlsdamp.reporting import format_float
 
@@ -50,17 +49,18 @@ def strang_step(state: EvolutionState, a: DampingProfile, dt: float) -> Evolutio
     return EvolutionState(state.time + dt, u_hat, state.step_count + 1)
 
 
-def snapshot_block(field: ComplexField, t=0.0, dt_used=0.0, tail_fraction=0.0) -> SnapshotBlock:
-    """The block of one holding `field` at time t: a view of its values and their FFT."""
+def snapshot_block(field: ComplexField, t=0.0, dt_used=0.0, tail_fraction=0.0):
+    """compute_row's meta, values and spectra of the block of one holding
+    `field` at time t: a view of its values and their FFT."""
     values = field.values
     meta = np.array([[t, dt_used, tail_fraction]])
-    return SnapshotBlock(field.grid, meta, values[None], np.fft.fftn(values)[None])
+    return meta, values[None], np.fft.fftn(values)[None]
 
 
 def diagnostics_row(field: ComplexField, a: DampingProfile, ref_grad_sq, dt_used=0.0,
                     tail_fraction=0.0) -> dict:
     """The row of `field` at t = 0, keyed by rows.csv column: its block of one from compute_row."""
-    values = compute_row(snapshot_block(field, 0.0, dt_used, tail_fraction), a, ref_grad_sq)[0]
+    values = compute_row(*snapshot_block(field, 0.0, dt_used, tail_fraction), a, ref_grad_sq)[0]
     return dict(zip(RowTable(field.grid.dim).names, values.tolist()))
 
 

@@ -2,12 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nlsdamp import scenarios
 from nlsdamp.cli import main
-from nlsdamp.scenarios import _cache_path, _save_ground_state, ensure_ground_state
+from nlsdamp.scenarios import GS_CACHE_VERSION, _cache_path, _save_ground_state, ensure_ground_state
 
 EVOLVE_CONFIG = """\
 id = cli_demo
@@ -128,6 +130,7 @@ def test_evolve_unknown_key_is_exit_2(tmp_path, capsys):
         ("initial_data = gaussian", "initial_data = boosted_ground_state\ninitial_velocity = -inf"),
         ("box = 15.0", "box = 1e200"),
         ("box = 15.0", "box = 1e300"),
+        ("box = 15.0", "box = 1e-300"),
     ],
 )
 def test_evolve_invalid_value_is_exit_2(tmp_path, capsys, old, new):
@@ -139,6 +142,46 @@ def test_evolve_invalid_value_is_exit_2(tmp_path, capsys, old, new):
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "ground-state"])
+@pytest.mark.parametrize("box", ["0.5", "1e-5", "1e-150"])
+def test_box_too_small_to_hold_the_ground_state_is_exit_2(tmp_path, capsys, command, box):
+    # On such a box the iteration settles on the flat profile Q ≡ 1.
+    out = tmp_path / "out"
+    if command == "evolve":
+        cfg_path = tmp_path / "run.cfg"
+        text = EVOLVE_CONFIG.format(out=out).replace("n = 256", "n = 64")
+        cfg_path.write_text(text.replace("box = 15.0", f"box = {box}"))
+        argv = ["evolve", "--config", str(cfg_path)]
+    else:
+        argv = ["ground-state", "--dim", "1", "--n", "64", "--box", box, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: box half_width {float(box)} is too small")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_flat_cached_profile_is_exit_2_without_a_solve(tmp_path, capsys, monkeypatch):
+    # A cache file holding Q ≡ 1 (residual 0), as earlier versions wrote on
+    # such a box, is refused as the solved profile is: one line, no re-solve.
+    out = tmp_path / "out"
+    path = _cache_path(out / "gs_cache", 1, 64, 0.5, 1e-10)
+    path.parent.mkdir(parents=True)
+    np.savez(path, version=GS_CACHE_VERSION, dim=1, n=64, box=0.5, tol=1e-10,
+             profile=np.ones(64))
+    monkeypatch.setattr(scenarios, "solve_ground_state", lambda *a, **k: pytest.fail("solved"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ground-state", "--dim", "1", "--n", "64", "--box", "0.5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: box half_width 0.5 is too small")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -58,7 +58,8 @@ def _gaussian_field(grid):
 def _bump(grid, amp, s2):
     x = grid.axis
     vals = amp * np.exp(-x * x / (2.0 * s2))
-    return DampingProfile(grid, vals, (-(x / s2) * vals,))
+    grad = -(x / s2) * vals
+    return DampingProfile(grid, vals, lambda j: grad)
 
 
 def _kicked(field_, a, dt):
@@ -215,7 +216,7 @@ def test_evolve_zero_field_runs_clean():
     a = DampingProfile.zero(g)
     cfg = SimConfig(dt0=1e-3, t_end=5e-3, record_every=1)
     seen = []
-    report = evolve(u0, a, cfg, sink=lambda s, dt, tail: seen.append(s.time))
+    report = evolve(u0, a, cfg, sink=lambda s: seen.append(s.time))
     assert report.stop_reason is StopReason.HORIZON_REACHED
     assert not report.blew_up
     assert report.terminal_mass_sq == 0.0
@@ -252,7 +253,7 @@ def test_evolve_emits_first_and_last():
     cfg = SimConfig(dt0=1e-3, t_end=0.02, record_every=1000)
     times = []
     evolve(_gaussian_field(g), DampingProfile.zero(g), cfg,
-           sink=lambda s, dt, tail: times.append(s.time))
+           sink=lambda s: times.append(s.time))
     assert len(times) == 2
     assert times[0] == 0.0
     assert times[1] == pytest.approx(0.02, abs=1e-12)
@@ -301,7 +302,7 @@ def test_dt_floor_stops_before_the_first_step():
     assert _dt_from_grad(norms(_gaussian_field(g)).grad_sq, cfg) < cfg.dt_min
     times = []
     report = evolve(_gaussian_field(g), DampingProfile.zero(g), cfg,
-                    sink=lambda s, dt, tail: times.append(s.time))
+                    sink=lambda s: times.append(s.time))
     assert report.stop_reason is StopReason.GRADIENT_THRESHOLD
     assert not report.blew_up
     assert report.t_detect == 0.0
@@ -316,7 +317,7 @@ def test_evolve_repeat_runs_bitwise_identical():
     def run():
         fields = []
         evolve(_gaussian_field(g), bump, cfg,
-               sink=lambda s, dt, tail: fields.append(np.fft.ifftn(s.spectrum)))
+               sink=lambda s: fields.append(np.fft.ifftn(s.spectrum)))
         return fields
 
     first, second = run(), run()
@@ -342,7 +343,7 @@ def test_boundary_flag_raised_between_record_points():
     cfg = SimConfig(dt0=1e-3, t_end=0.4, record_every=1000)
     snapshots = []
     report = evolve(u0, DampingProfile.zero(g), cfg,
-                    sink=lambda s, dt, tail: snapshots.append((s.step_count, field_of(s, g))))
+                    sink=lambda s: snapshots.append((s.step_count, field_of(s, g))))
     assert report.stop_reason is StopReason.HORIZON_REACHED
     assert [n for n, _ in snapshots] == [0, 400]
     assert all(_edge_fraction(f) < 0.1 * BOUNDARY_MASS_LIMIT for _, f in snapshots)
@@ -364,7 +365,7 @@ def test_evolve_fft_budget(monkeypatch, dim, n):
     cfg = SimConfig(dt0=1e-3, t_end=0.011, record_every=3)
     steps = []
     evolve(_gaussian_field(g), DampingProfile.constant(g, 0.5), cfg,
-           sink=lambda s, dt, tail: steps.append(s.step_count))
+           sink=lambda s: steps.append(s.step_count))
     assert steps == [0, 3, 6, 9, 11]
     assert calls == {"forward": 11 + 1, "inverse": 11}
 

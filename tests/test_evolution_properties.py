@@ -1,6 +1,6 @@
 """Property checks: evolve's merged half phases against unmerged Strang steps,
 the in-place stepping never writes into the caller's arrays, and the sink sees
-each recorded step once."""
+each recorded step once, as the rows record it."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from nlsdamp import (
     Grid,
     SimConfig,
     StopReason,
+    TrajectoryRecorder,
     evolve,
 )
 from nlsdamp.diagnostics import random_smooth_field
@@ -36,13 +37,13 @@ def test_evolve_matches_unmerged_strang_steps(seed, dim, amplitude, damping, ste
     u0 = ComplexField(g, amplitude * f / np.max(np.abs(f)))
     r2 = sum(c * c for c in g.coords)
     a = DampingProfile(g, damping * np.exp(-r2 / 8.0),
-                       tuple(-(c / 4.0) * damping * np.exp(-r2 / 8.0) for c in g.coords))
+                       lambda j: -(g.coords[j] / 4.0) * damping * np.exp(-r2 / 8.0))
     dt = 1e-3
     cfg = SimConfig(dt0=dt, t_end=steps * dt, adapt_const=1e30, dt_min=1e-9,
                     tail_threshold=0.999, record_every=10**6)
     snapshots = []
     report = evolve(u0, a, cfg,
-                    sink=lambda s, dt_used, tail: snapshots.append((s.step_count, field_of(s, g))))
+                    sink=lambda s: snapshots.append((s.step_count, field_of(s, g))))
     assert report.stop_reason is StopReason.HORIZON_REACHED
     assert snapshots[-1][0] == steps
 
@@ -70,7 +71,7 @@ def test_stepping_leaves_caller_data_untouched(seed, dim, damping, steps):
     cfg = SimConfig(dt0=dt, t_end=steps * dt, adapt_const=1e30, dt_min=1e-9,
                     tail_threshold=0.999, record_every=2)
     lent = []
-    evolve(u0, a, cfg, sink=lambda s, dt_used, tail: lent.append(s.spectrum))
+    evolve(u0, a, cfg, sink=lambda s: lent.append(s.spectrum))
     assert np.array_equal(u0.values, before)
     assert len(lent) >= 2
     for spectrum in lent:
@@ -91,8 +92,9 @@ def test_stepping_leaves_caller_data_untouched(seed, dim, damping, steps):
 )
 def test_sink_sees_each_recorded_step_once(record_every, steps, poison):
     # Steps 0, every multiple of record_every, and the stop, each once, in
-    # order. A NaN written into the lent spectrum at one call makes the next
-    # state non-finite: that stop is not emitted, so nothing follows the call.
+    # order, each state carrying the dt_used and tail_fraction its row records.
+    # A NaN written into the lent spectrum at one call makes the next state
+    # non-finite: that stop is not emitted, so nothing follows the call.
     g = Grid(1, 32, 8.0)
     u0 = ComplexField(g, random_smooth_field(g, np.random.default_rng(5)).values)
     a = DampingProfile.zero(g)
@@ -101,23 +103,26 @@ def test_sink_sees_each_recorded_step_once(record_every, steps, poison):
                     tail_threshold=0.999, record_every=record_every)
 
     def run(poison_call=None):
-        seen = []
+        seen, rec = [], TrajectoryRecorder(a, 1.0)
 
-        def sink(state, dt_used, tail):
+        def sink(state):
+            rec(state)
             if len(seen) == poison_call:
                 state.spectrum[0] = np.nan
-            seen.append((state.step_count, state.time))
+            seen.append((state.step_count, state.time, state.dt_used, state.tail_fraction))
 
-        return evolve(u0, a, cfg, sink=sink), seen
+        return evolve(u0, a, cfg, sink=sink), seen, rec.rows
 
-    report, seen = run()
+    report, seen, rows = run()
     assert report.stop_reason is StopReason.HORIZON_REACHED
-    assert seen[-1] == (steps, report.t_detect)
+    assert seen[-1][:2] == (steps, report.t_detect)
     want = [s for s in range(steps + 1) if s % record_every == 0 or s == steps]
-    assert [s for s, _ in seen] == want
+    assert [s for s, *_ in seen] == want
+    recorded = zip(*(rows.column(name).tolist() for name in ("t", "dt_used", "tail_fraction")))
+    assert [s[1:] for s in seen] == list(recorded)
 
     call = poison % len(want)
     if call < len(want) - 1:
-        report, poisoned = run(call)
+        report, poisoned, _ = run(call)
         assert report.stop_reason is StopReason.NONFINITE
         assert poisoned == seen[: call + 1]

@@ -15,24 +15,29 @@ MODULES = ["nlsdamp"] + [f"nlsdamp.{m.name}" for m in pkgutil.iter_modules(nlsda
 # that block-only windows replaced, the grid comparison that `Grid`'s
 # own `==` replaced, the row sums that `spectral.abs2` and
 # `spectral.grid_dot` replaced, the window rule that a float ‖∇Q‖²
-# replaced, and the dt-floor growth gate that the floor stop replaced; the
-# package no longer defines them.
+# replaced, the dt-floor growth gate that the floor stop replaced, the
+# snapshot block that compute_row's plain arrays replaced, the formed
+# gradient that `DampingProfile.gradient` replaced, and the envelope result
+# that its worst margin replaced; the package no longer defines them.
 RETIRED = [
     "strang_step", "closed_form_q_1d", "csv_line", "DiagnosticsRow",
     "ConcentrationResult", "DensityBlock", "_tail_mask", "_boundary_mask",
     "same_layout", "_dot", "_abs2", "gradient_window_rule", "WindowRule",
-    "GRAD_RATIO_THRESHOLD",
+    "GRAD_RATIO_THRESHOLD", "SnapshotBlock", "_Formed", "EnvelopeCheck",
 ]
 
 
-# Parameters that only tests passed: a supplied ground state and a no-write
-# run (tests write under tmp_path, and the disk cache is the only memo), and
-# an outputs root that the suite's `outputs` key already sets.
+# Retired parameters: a supplied ground state and a no-write run, which only
+# tests passed (tests write under tmp_path, and the disk cache is the only
+# memo), an outputs root that the suite's `outputs` key already sets, and the
+# damping gradient as a tuple or a function, which `gradient`, a function,
+# replaced.
 RETIRED_PARAMETERS = [
     ("nlsdamp.scenarios", "run_scenario", "gs"),
     ("nlsdamp.scenarios", "run_scenario", "write_outputs"),
     ("nlsdamp.scenarios", "run_suite", "outputs"),
     ("nlsdamp.scenarios", "catalog", "outputs"),
+    ("nlsdamp.spectral", "DampingProfile", "gradient_values"),
 ]
 
 

@@ -30,8 +30,6 @@ from nlsdamp import (
     momentum_balance_residual,
 )
 from nlsdamp.diagnostics import (
-    EnvelopeCheck,
-    SnapshotBlock,
     block_size,
     csv_header,
     random_smooth_field,
@@ -113,9 +111,9 @@ def loop_envelope(rows, a):
         lower = u0 * math.exp(-a.sup_norm * r["t"]) - eps
         margins = (upper - val, val - lower)
         if math.isinf(val) or math.isnan(val) or math.isnan(margins[0]) or math.isnan(margins[1]):
-            return EnvelopeCheck(ok=False, worst=math.nan)
+            return math.nan
         worst = min(worst, *margins)
-    return EnvelopeCheck(ok=worst >= 0.0, worst=worst)
+    return worst
 
 
 # --- helpers -------------------------------------------------------------------
@@ -134,8 +132,6 @@ def _outcome(fn, *args):
 
 
 def _same(x, y):
-    if isinstance(x, EnvelopeCheck) and isinstance(y, EnvelopeCheck):
-        return x.ok == y.ok and _same(x.worst, y.worst)
     if isinstance(x, float) and isinstance(y, float):
         return x == y or (math.isnan(x) and math.isnan(y))
     return x == y
@@ -274,11 +270,11 @@ def test_blocked_rows_equal_one_snapshot_rows(dim, kinds, read_at, seed):
             assert len(rec.rows) == i
         t, spectrum = _snapshot(g, rng, kind)
         dt_used, tail = float(rng.uniform(0.0, 1e-3)), float(rng.uniform(0.0, 1e-4))
-        rec(EvolutionState(t, spectrum), dt_used, tail)
+        rec(EvolutionState(t, spectrum, 0, dt_used, tail))
         # The block of one the recorder would form: the field from the spectrum.
-        one = SnapshotBlock(g, np.array([[t, dt_used, tail]]), np.fft.ifftn(spectrum)[None],
-                            spectrum[None])
-        expected.append(compute_row(one, a, ref_grad_sq)[0])
+        meta = np.array([[t, dt_used, tail]])
+        expected.append(compute_row(meta, np.fft.ifftn(spectrum)[None], spectrum[None], a,
+                                    ref_grad_sq)[0])
     table = rec.rows
     assert len(table) == len(kinds) and len(rec.rows) == len(kinds)
     want = np.array(expected)
@@ -304,9 +300,10 @@ def test_recorded_rows_equal_rows_of_copied_spectra(dim, n, snapshots):
     rec = TrajectoryRecorder(a, ref_grad_sq)
     copies = []
 
-    def sink(s, dt_used, tail):
-        copies.append((EvolutionState(s.time, s.spectrum.copy(), s.step_count), dt_used, tail))
-        rec(s, dt_used, tail)
+    def sink(s):
+        copies.append(EvolutionState(s.time, s.spectrum.copy(), s.step_count, s.dt_used,
+                                     s.tail_fraction))
+        rec(s)
 
     record_every = 1 if dim == 1 else 2
     dt = 1e-4
@@ -315,8 +312,8 @@ def test_recorded_rows_equal_rows_of_copied_spectra(dim, n, snapshots):
     evolve(u0, a, cfg, sink)
     assert len(copies) == snapshots
     after = TrajectoryRecorder(a, ref_grad_sq)
-    for state, dt_used, tail in copies:
-        after(state, dt_used, tail)
+    for state in copies:
+        after(state)
     during, later = rec.rows, after.rows
     assert len(during) == len(later) == snapshots
     assert len(set(during.column("t").tolist())) == snapshots
