@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import closed_form_q_1d
+from reference import closed_form_q_1d, full_grid_ground_state
 
 from nlsdamp import (
     ConvergenceError,
@@ -22,10 +22,11 @@ TOL = {
     "integrals": 1e-6,
     "energy": 1e-9,
     "pohozaev": 1e-8,
-    "residual_restate": 1e-12,
     "ode_pointwise": 1e-6,
     "n_doubling": 1e-8,
     "d2_mass": 1e-6,
+    # Max-norm gap between the octant solve and the full-grid reference, over max Q.
+    "reference": 1e-13,
 }
 
 Q_MASS_SQ = math.pi * math.sqrt(3.0) / 2.0
@@ -55,8 +56,7 @@ def test_pohozaev_residuals_vanish(gs_1d):
 
 def test_stored_residual_restates(gs_1d):
     assert gs_1d.residual < 1e-10
-    again = pde_residual(gs_1d.grid, gs_1d.profile)
-    assert abs(again - gs_1d.residual) < TOL["residual_restate"]
+    assert pde_residual(gs_1d.grid, gs_1d.profile) == gs_1d.residual
 
 
 def test_pohozaev_rejects_wrong_scale(gs_1d):
@@ -116,6 +116,18 @@ def test_max_iter_exhaustion_reports_residual():
     assert info.value.residual > 1e-14
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_uneven_initial_is_refused(dim):
+    # Off by one ulp at one point, and the even profile moved one cell.
+    grid = Grid(dim, 64, 10.0)
+    q = solve_ground_state(grid).profile
+    nudged = q.copy()
+    nudged.flat[5] = np.nextafter(nudged.flat[5], np.inf)
+    for initial in (nudged, np.roll(q, 1)):
+        with pytest.raises(ValueError, match="^initial iterate is not even about the box centre$"):
+            solve_ground_state(grid, initial=initial)
+
+
 def test_zero_initial_collapses():
     grid = Grid(1, 64, 10.0)
     with pytest.raises(ConvergenceError, match="larger initial amplitude"):
@@ -139,10 +151,11 @@ def test_field_view_is_complex(gs_1d):
 
 
 def _count_ffts(monkeypatch):
-    """Count numpy.fft calls by name, and the full-FFT calls made inside `norms`."""
-    calls = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0, "in_norms": 0}
+    """Count numpy.fft calls by name, the full-FFT calls made inside `norms`,
+    and the solver's updates, one Anderson solve each."""
+    calls = {"rfft": 0, "rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0, "in_norms": 0, "updates": 0}
     inside = [False]
-    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+    for name in ("rfft", "rfftn", "irfftn", "fftn", "ifftn"):
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
             calls[_name] += 1
             calls["in_norms"] += inside[0] and _name in ("fftn", "ifftn")
@@ -156,49 +169,72 @@ def _count_ffts(monkeypatch):
         finally:
             inside[0] = False
 
+    def update_counted(*args, _fn=ground_state._anderson_coefficients):
+        calls["updates"] += 1
+        return _fn(*args)
+
     monkeypatch.setattr(ground_state, "norms", norms_counted)
+    monkeypatch.setattr(ground_state, "_anderson_coefficients", update_counted)
     return calls
 
 
 def test_solve_fft_budget(monkeypatch):
-    # Pass i reads the residual of update i from the two forward half spectra
-    # it forms anyway; updates are the only inverse transforms. Full complex
-    # FFTs happen only in the final `norms`.
+    # A DCT-I is one `rfft` per axis. Pass i reads the residual of update i
+    # from the two forward spectra it forms anyway; each update makes one
+    # inverse. The full-grid acceptance check is the one `rfftn` pair, and
+    # full complex FFTs happen only in the final `norms`.
     calls = _count_ffts(monkeypatch)
-    solve_ground_state(Grid(2, 64, 10.0), tol=1e-10)
-    updates = calls["irfftn"]
+    grid = Grid(2, 64, 10.0)
+    solve_ground_state(grid, tol=1e-10)
+    updates = calls["updates"]
     assert updates > 0
-    assert calls["rfftn"] == 2 * (updates + 1)
+    assert calls["rfft"] == grid.dim * (3 * updates + 2)
+    assert (calls["rfftn"], calls["irfftn"]) == (2, 0)
     assert calls["fftn"] + calls["ifftn"] == calls["in_norms"] == 1
 
 
+SOLVE_GRIDS = [Grid(1, 512, 20.0), Grid(2, 128, 10.0), Grid(3, 64, 10.0)]
+
+
 # Anderson mixing of depth 2; the unaccelerated iteration took 27, 44 and 66.
-@pytest.mark.parametrize(
-    "grid, updates",
-    [(Grid(1, 512, 20.0), 10), (Grid(2, 128, 10.0), 13), (Grid(3, 64, 10.0), 14)],
-    ids=["1d-512", "2d-128", "3d-64"],
-)
+@pytest.mark.parametrize("grid, updates", list(zip(SOLVE_GRIDS, [10, 13, 14])),
+                         ids=["1d-512", "2d-128", "3d-64"])
 def test_solve_iteration_count(monkeypatch, grid, updates):
     calls = _count_ffts(monkeypatch)
     gs = solve_ground_state(grid, tol=1e-10)
-    assert calls["irfftn"] == updates
+    assert calls["updates"] == updates
+    assert calls["rfft"] == grid.dim * (3 * updates + 2)
     assert gs.residual < 1e-10
+
+
+@pytest.mark.parametrize("grid", SOLVE_GRIDS[:2] + [Grid(3, 32, 10.0)],
+                         ids=["1d-512", "2d-128", "3d-32"])
+def test_octant_solve_matches_full_grid_reference(monkeypatch, grid):
+    calls = _count_ffts(monkeypatch)
+    gs = solve_ground_state(grid, tol=1e-10)
+    updates = calls["updates"]
+    ref, ref_updates = full_grid_ground_state(grid, tol=1e-10)
+    assert updates == ref_updates
+    assert np.max(np.abs(gs.profile - ref)) <= TOL["reference"] * np.max(ref)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_anderson_coefficients_solve_the_least_squares_problem(depth):
+    # In the norm weighted by the multiplicities 1, 2, 4 and 8 of octant points.
     rng = np.random.default_rng(depth)
     f = rng.standard_normal((8, 8))
     f_hist = [rng.standard_normal((8, 8)) for _ in range(depth)]
-    coefs = ground_state._anderson_coefficients(f, f_hist)
-    diffs = np.stack([(f - h).ravel() for h in f_hist], axis=1)
-    ref, *_ = np.linalg.lstsq(diffs, f.ravel(), rcond=None)
+    weight = 2.0 ** rng.integers(0, 4, (8, 8))
+    coefs = ground_state._anderson_coefficients(f, f_hist, weight)
+    root = np.sqrt(weight).ravel()
+    diffs = np.stack([root * (f - h).ravel() for h in f_hist], axis=1)
+    ref, *_ = np.linalg.lstsq(diffs, root * f.ravel(), rcond=None)
     assert np.allclose(coefs, ref, rtol=1e-12, atol=0.0)
 
 
 def test_anderson_coefficients_singular_is_none():
     f = np.linspace(1.0, 2.0, 16)
-    assert ground_state._anderson_coefficients(f, []) is None
+    assert ground_state._anderson_coefficients(f, [], 1.0) is None
     # A repeated step, and two steps whose differences from f are parallel.
-    assert ground_state._anderson_coefficients(f, [f.copy()]) is None
-    assert ground_state._anderson_coefficients(f, [0.5 * f, 0.25 * f]) is None
+    assert ground_state._anderson_coefficients(f, [f.copy()], 1.0) is None
+    assert ground_state._anderson_coefficients(f, [0.5 * f, 0.25 * f], 1.0) is None

@@ -378,14 +378,16 @@ def _version(old):
     return damage
 
 
-# Cache version 2 held profiles of the unaccelerated solver, and version 3
-# profiles whose Anderson Gram entries were BLAS sums.
+# Cache version 2 held profiles of the unaccelerated solver, version 3
+# profiles whose Anderson Gram entries were BLAS sums, and version 4 profiles
+# of the full-grid solve, whose bits differ from the octant solve's.
 @pytest.mark.parametrize("damage, reason",
                          [(_truncate, ""), (_wrong_shape, "profile is"), (_other_box, "solved for"),
-                          (_version(2), r"version 2, expected 4"),
-                          (_version(3), r"version 3, expected 4"), (_doubled, "residual")],
+                          (_version(2), r"version 2, expected 5"),
+                          (_version(3), r"version 3, expected 5"),
+                          (_version(4), r"version 4, expected 5"), (_doubled, "residual")],
                          ids=["truncated", "wrong_shape", "other_box", "version_2", "version_3",
-                              "doubled"])
+                              "version_4", "doubled"])
 def test_ensure_ground_state_rejects_bad_cache(tmp_path, damage, reason):
     first = ensure_ground_state(1, 128, 12.0, 1e-9, cache_dir=tmp_path)
     (path,) = tmp_path.glob("gs-v*.npz")
